@@ -1,11 +1,15 @@
 """Catalog of canonical circuits up to a T-count bound.
 
-Entries are grouped into buckets by their exact |trace|^2 ring value (the
-double key is only a sorted representative), and each non-degenerate
-bucket carries three geometric indexes over rotation axes: per containing
-tile, per nearest boundary arc, per nearest corner.  The file format is a
-flat little-endian dump with a trailing CRC-64 so truncation and bit rot
-are detected on load.
+The catalog is one set of entry columns in bucket order.  A bucket holds
+every entry of one exact |trace|^2 ring value; buckets are sorted by their
+double |trace| key, and bucket b owns entries starts[b]:starts[b + 1].
+Per entry there is the T-count, the packed block bits, the stored |trace|,
+the rotation axis, the search's c1 = key / 2 and s1 = sqrt(1 - c1^2), and
+the axis's containing tile, nearest boundary arc and nearest corner, all
+three from one `assign_bins` call over every axis.  The file format is a
+flat little-endian dump, bucket by bucket, with a trailing CRC-64 so
+truncation and bit rot are detected on load; stored traces must also lie
+within the bucket tolerance of their key, and stored axes must be unit.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ from __future__ import annotations
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import assign_bins, tile_of  # noqa: F401  (tile_of re-exported)
-from .rewrite import blocks_tokens, pack_bits, unpack_bits
+from .geometry import assign_bins
+from .rewrite import pack_bits, unpack_bits
 from .ring import Real2
 from .unitary import ExactUnitary, GATES, su2_quaternion
 
@@ -26,6 +30,7 @@ MAGIC = b"QCAN"
 VERSION = 1
 DELTA_BUCKET = 1e-10
 DEFAULT_MAX_TCOUNT = 26
+_AXIS_NORM_TOL = 1e-9
 
 _FOUR = Real2.from_int(4)
 
@@ -103,63 +108,52 @@ def _entries_for_prefix(args):
     return out
 
 
-@dataclass
-class Bucket:
-    """All catalog entries sharing one exact |trace| class."""
-
-    key: float
-    t_counts: np.ndarray
-    bits_packed: list[bytes]
-    traces: np.ndarray
-    axes: np.ndarray
-    face_idx: list = field(default_factory=list)
-    edge_idx: list = field(default_factory=list)
-    vertex_idx: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.bits_packed)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.key <= DELTA_BUCKET or self.key >= 2.0 - DELTA_BUCKET
-
-    def entry_bits(self, i: int) -> tuple[int, ...]:
-        return unpack_bits(self.bits_packed[i], int(self.t_counts[i]))
-
-    def build_indexes(self) -> None:
-        if len(self) == 0 or self.key >= 2.0 - DELTA_BUCKET:
-            self.face_idx = [np.empty(0, np.int64) for _ in range(24)]
-            self.edge_idx = [np.empty(0, np.int64) for _ in range(36)]
-            self.vertex_idx = [np.empty(0, np.int64) for _ in range(14)]
-            return
-        faces, edges, verts = assign_bins(self.axes)
-        self.face_idx = [np.flatnonzero(faces == j) for j in range(24)]
-        self.edge_idx = [np.flatnonzero(edges == j) for j in range(36)]
-        self.vertex_idx = [np.flatnonzero(verts == j) for j in range(14)]
-
-
 class Catalog:
-    """Immutable bucket list sorted by representative trace key."""
+    """Immutable entry columns, grouped into buckets sorted by trace key.
 
-    def __init__(self, buckets: list[Bucket], max_tcount: int):
-        self.buckets = buckets
+    keys[b] is the |trace| of bucket b and starts[b]:starts[b + 1] its
+    entries.  Entry columns: t (T-count), bits (the packed block bits of
+    the file format read as a little-endian integer), traces, axes (n, 3),
+    c1 and s1 (the cosine and sine of the half rotation angle, from the
+    bucket key), and face/edge/vert (containing tile, nearest arc, nearest
+    corner of the axis).
+    """
+
+    def __init__(self, max_tcount: int, keys: np.ndarray, starts: np.ndarray,
+                 t: np.ndarray, bits: np.ndarray, traces: np.ndarray,
+                 axes: np.ndarray):
         self.max_tcount = max_tcount
-        self.keys = np.array([b.key for b in buckets])
-        if len(self.keys) > 1:
-            gaps = np.diff(self.keys)
+        self.keys = keys
+        self.starts = starts
+        self.t = t
+        self.bits = bits
+        self.traces = traces
+        self.axes = axes
+        if len(keys) > 1:
+            gaps = np.diff(keys)
             if not (gaps > 2 * DELTA_BUCKET).all():
                 raise CatalogError("bucket keys closer than the bucket tolerance")
-        for b in buckets:
-            if not b.face_idx:
-                b.build_indexes()
+        sizes = np.diff(starts)
+        if not (np.abs(traces - np.repeat(keys, sizes)) < DELTA_BUCKET).all():
+            raise CatalogError("stored trace farther than the bucket tolerance from its key")
+        if not (np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= _AXIS_NORM_TOL).all():
+            raise CatalogError("stored axis is not a unit vector")
+        self.c1 = np.repeat(keys / 2.0, sizes)
+        self.s1 = np.sqrt(np.maximum(0.0, 1.0 - self.c1 * self.c1))
+        self.face, self.edge, self.vert = assign_bins(axes)
 
     def entry_count(self) -> int:
-        return sum(len(b) for b in self.buckets)
+        return len(self.t)
+
+    def entry_bits(self, i: int) -> tuple[int, ...]:
+        t = int(self.t[i])
+        return unpack_bits(int(self.bits[i]).to_bytes((t + 7) // 8, "little"), t)
 
     def distinct_traces(self, t_cap: int | None = None) -> int:
         if t_cap is None:
-            return len(self.buckets)
-        return sum(1 for b in self.buckets if int(b.t_counts.min()) <= t_cap)
+            return len(self.keys)
+        bucket_of = np.repeat(np.arange(len(self.keys)), np.diff(self.starts))
+        return len(np.unique(bucket_of[self.t <= t_cap]))
 
     def window(self, trace: float, radius: float) -> range:
         """Bucket index range with |key - trace| < radius."""
@@ -208,18 +202,18 @@ def _bucketize(rows, t_max: int) -> Catalog:
     by_class: dict[tuple, list] = {}
     for row in rows:
         by_class.setdefault(row[2], []).append(row)
-    buckets = []
-    for cls in by_class.values():
-        key = cls[0][3]
-        t_counts = np.array([r[0] for r in cls], dtype=np.uint8)
-        packed = [pack_bits(r[1]) for r in cls]
-        traces = np.array([r[3] for r in cls])
-        axes = np.array([r[4] for r in cls])
-        if not (np.abs(traces - key) < DELTA_BUCKET).all():
-            raise CatalogError("exact trace class spans more than the tolerance")
-        buckets.append(Bucket(key, t_counts, packed, traces, axes))
-    buckets.sort(key=lambda b: b.key)
-    return Catalog(buckets, t_max)
+    classes = sorted(by_class.values(), key=lambda cls: cls[0][3])
+    entries = [r for cls in classes for r in cls]
+    return Catalog(
+        t_max,
+        keys=np.array([cls[0][3] for cls in classes]),
+        starts=np.cumsum([0] + [len(cls) for cls in classes]),
+        t=np.array([r[0] for r in entries], dtype=np.uint8),
+        bits=np.array([int.from_bytes(pack_bits(r[1]), "little") for r in entries],
+                      dtype=np.uint32),
+        traces=np.array([r[3] for r in entries]),
+        axes=np.array([r[4] for r in entries]).reshape(-1, 3),
+    )
 
 
 # CRC-64/XZ: reflected 0x42F0E1EBA9EA3693, init and xorout all-ones.
@@ -242,16 +236,23 @@ if crc64(b"123456789") != 0x995DC9BBDF1939FA:
     raise AssertionError("CRC-64 self-check failed")
 
 
+# An entry record is its T-count byte, ceil(t / 8) bytes of packed block
+# bits, then the trace and the three axis coordinates as doubles.
+_FLOAT_BYTES = 32
+
+
 def save(cat: Catalog, path) -> None:
     parts = [MAGIC, struct.pack("<II", VERSION, cat.max_tcount)]
-    for b in cat.buckets:
-        parts.append(struct.pack("<dQ", b.key, len(b)))
-        for i in range(len(b)):
-            t = int(b.t_counts[i])
-            parts.append(struct.pack("<B", t))
-            parts.append(b.bits_packed[i])
-            parts.append(struct.pack("<d", b.traces[i]))
-            parts.append(struct.pack("<3d", *b.axes[i]))
+    floats = np.column_stack([cat.traces, cat.axes]).astype("<f8").tobytes()
+    ts, bits, starts = cat.t.tolist(), cat.bits.tolist(), cat.starts.tolist()
+    for b, key in enumerate(cat.keys.tolist()):
+        s, e = starts[b], starts[b + 1]
+        parts.append(struct.pack("<dQ", key, e - s))
+        for i in range(s, e):
+            t = ts[i]
+            parts.append(bytes((t,)))
+            parts.append(bits[i].to_bytes((t + 7) // 8, "little"))
+            parts.append(floats[_FLOAT_BYTES * i:_FLOAT_BYTES * (i + 1)])
     blob = b"".join(parts)
     blob += struct.pack("<Q", crc64(blob))
     with open(path, "wb") as f:
@@ -271,33 +272,45 @@ def load(path) -> Catalog:
     version, t_max = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise CatalogError(f"unsupported version {version}")
+    if t_max > DEFAULT_MAX_TCOUNT:
+        raise CatalogError(f"t_max {t_max} above the supported {DEFAULT_MAX_TCOUNT}")
+    # one pass finds where each entry record starts; the columns are then
+    # gathered from the whole file at once
     off, end = 12, len(blob) - 8
-    buckets = []
+    keys, starts, recs = [], [0], []
     while off < end:
         if off + 16 > end:
             raise CatalogError("truncated bucket header")
         key, count = struct.unpack_from("<dQ", blob, off)
         off += 16
-        t_counts = np.empty(count, dtype=np.uint8)
-        packed = []
-        traces = np.empty(count)
-        axes = np.empty((count, 3))
-        for i in range(count):
-            if off + 1 > end:
+        for _ in range(count):
+            if off >= end:
                 raise CatalogError("truncated entry")
-            t = blob[off]
-            off += 1
-            nb = (t + 7) // 8
-            if off + nb + 32 > end:
+            recs.append(off)
+            off += 1 + (blob[off] + 7) // 8 + _FLOAT_BYTES
+            if off > end:
                 raise CatalogError("truncated entry")
-            t_counts[i] = t
-            packed.append(blob[off:off + nb])
-            off += nb
-            traces[i], = struct.unpack_from("<d", blob, off)
-            off += 8
-            axes[i] = struct.unpack_from("<3d", blob, off)
-            off += 24
-            if t > t_max:
-                raise CatalogError("entry exceeds catalog t_max")
-        buckets.append(Bucket(key, t_counts, packed, traces, axes))
-    return Catalog(buckets, t_max)
+        keys.append(key)
+        starts.append(len(recs))
+    if not recs:
+        raise CatalogError("catalog holds no entries")
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    pos = np.array(recs, dtype=np.int64)
+    t = buf[pos]
+    if (t > t_max).any():
+        raise CatalogError("entry exceeds catalog t_max")
+    nbytes = (t.astype(np.int64) + 7) // 8
+    # t <= 26 keeps the packed bits within the 4 bytes after the T-count
+    head = sliding_window_view(buf, 4)[pos + 1].astype(np.uint32)
+    head[np.arange(4) >= nbytes[:, None]] = 0
+    bits = (head << np.uint32([0, 8, 16, 24])).sum(axis=1, dtype=np.uint32)
+    floats = sliding_window_view(buf, _FLOAT_BYTES)[pos + 1 + nbytes].view("<f8")
+    return Catalog(
+        t_max,
+        keys=np.array(keys),
+        starts=np.array(starts, dtype=np.int64),
+        t=t,
+        bits=bits,
+        traces=np.ascontiguousarray(floats[:, 0], dtype=np.float64),
+        axes=np.ascontiguousarray(floats[:, 1:], dtype=np.float64),
+    )

@@ -98,8 +98,7 @@ def _cmd_build(args) -> int:
     save(cat, args.out)
     size = os.path.getsize(args.out)
     print(f"t_max {cat.max_tcount}: {cat.entry_count()} circuits in "
-          f"{len(cat.buckets)} trace buckets ({cat.distinct_traces()} distinct "
-          f"trace values), {size} bytes -> {args.out}")
+          f"{cat.distinct_traces()} trace buckets, {size} bytes -> {args.out}")
     return 0
 
 

@@ -147,17 +147,21 @@ _EDGE_T2 = np.cross(_EDGE_Q, _EDGE_N)
 
 
 def edge_distances(a: np.ndarray) -> np.ndarray:
-    """Great-circle distance from a unit vector to each of the 36 arcs."""
-    sin_plane = _EDGE_N @ a
-    inside = ((_EDGE_T1 @ a) >= 0) & ((_EDGE_T2 @ a) >= 0)
+    """Great-circle distance from a unit vector to each of the 36 arcs.
+
+    An (n, 3) array of unit vectors gives one row of 36 per vector.
+    """
+    sin_plane = a @ _EDGE_N.T
+    inside = ((a @ _EDGE_T1.T) >= 0) & ((a @ _EDGE_T2.T) >= 0)
     d_plane = np.arcsin(np.clip(np.abs(sin_plane), 0.0, 1.0))
-    d_p = np.arccos(np.clip(_EDGE_P @ a, -1.0, 1.0))
-    d_q = np.arccos(np.clip(_EDGE_Q @ a, -1.0, 1.0))
+    d_p = np.arccos(np.clip(a @ _EDGE_P.T, -1.0, 1.0))
+    d_q = np.arccos(np.clip(a @ _EDGE_Q.T, -1.0, 1.0))
     return np.where(inside, d_plane, np.minimum(d_p, d_q))
 
 
 def vertex_distances(a: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(VERTICES @ a, -1.0, 1.0))
+    """Distance to each of the 14 corners; (n, 3) input gives (n, 14)."""
+    return np.arccos(np.clip(a @ VERTICES.T, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -186,18 +190,13 @@ def assign_bins(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     faces = faces_of(axes)
     edges = np.empty(n, dtype=np.int64)
     verts = np.empty(n, dtype=np.int64)
-    chunk = 65536
+    # blocks of rows keep each (rows, 36) temporary small when one call
+    # covers a whole catalog
+    chunk = 1024
     for lo in range(0, n, chunk):
         block = axes[lo:lo + chunk]
-        sin_plane = block @ _EDGE_N.T
-        inside = (block @ _EDGE_T1.T >= 0) & (block @ _EDGE_T2.T >= 0)
-        d_plane = np.arcsin(np.clip(np.abs(sin_plane), 0.0, 1.0))
-        d_p = np.arccos(np.clip(block @ _EDGE_P.T, -1.0, 1.0))
-        d_q = np.arccos(np.clip(block @ _EDGE_Q.T, -1.0, 1.0))
-        dists = np.where(inside, d_plane, np.minimum(d_p, d_q))
-        edges[lo:lo + chunk] = np.argmin(dists, axis=1)
-        dv = np.arccos(np.clip(block @ VERTICES.T, -1.0, 1.0))
-        verts[lo:lo + chunk] = np.argmin(dv, axis=1)
+        edges[lo:lo + chunk] = np.argmin(edge_distances(block), axis=1)
+        verts[lo:lo + chunk] = np.argmin(vertex_distances(block), axis=1)
     return faces, edges, verts
 
 

@@ -140,11 +140,6 @@ class CosetForm:
             "g2": self.g2,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CosetForm":
-        bits = unpack_bits(base64.b64decode(d["blocks"]), d["t_count"])
-        return cls(d["g1"], bits, d["g2"])
-
 
 def pack_bits(bits) -> bytes:
     out = bytearray((len(bits) + 7) // 8)

@@ -42,11 +42,6 @@ def scalar_conj(x: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return a, -d, -c, -b
 
 
-def scalar_times_omega(x: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    a, b, c, d = x
-    return -d, a, b, c
-
-
 def scalar_abs_sq(x: tuple[int, int, int, int]) -> tuple[int, int]:
     """|z|^2 as (p, q) meaning p + q*sqrt(2); always real."""
     a, b, c, d = x

@@ -6,9 +6,12 @@ reassembles to g^-1 . c . (g h^-1) at the same distance.  Buckets are
 preselected through the trace window |key - |tr|| < 4 eps; inside the
 window the distance condition is converted per entry to an exact angular
 cone around the target axis (or its antipode), and only entries whose
-tile, nearest arc or nearest corner meets the cone are evaluated.  A
-plain linear scan with the identical predicate and tie-break is kept as
-a cross-check oracle.
+tile, nearest arc or nearest corner meets the cone are evaluated.  The
+dressed targets of one h share their trace, so each such group makes one
+window call and one cone selection over all of its axes at once.  Every
+scan reads the catalog's own entry columns (c1, s1, axis, T-count, tile
+ids) over the bucket range the window selects.  A plain linear scan with
+the identical predicate and tie-break is kept as a cross-check oracle.
 
 All query arithmetic is double precision; exactness lives on the catalog
 side.  Squared distances below 1e-13 snap to zero so that exact members
@@ -20,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
-from .catalog import Catalog, DELTA_BUCKET
+from .catalog import Catalog, CatalogError, DELTA_BUCKET
 from .clifford import CLIFFORD, INV, MULT
-from .geometry import ROT_F, edge_distances, face_of, vertex_distances
+from .geometry import ROT_F, edge_distances, faces_of, vertex_distances
 from .rewrite import CosetForm
 from .unitary import ExactUnitary, su2_quaternion
 
@@ -108,161 +113,57 @@ def coset_targets(mat: np.ndarray) -> list[_Pair]:
     return pairs
 
 
-def candidate_levels(target_trace: float, epsilon: float, db: Catalog) -> list[int]:
-    """Bucket indices with |key - target_trace| < 4 epsilon + bucket tolerance."""
-    return list(db.window(target_trace, 4.0 * epsilon + DELTA_BUCKET))
+def _h_groups(pairs: list[_Pair]) -> list[list[_Pair]]:
+    """Runs of dressed targets with one h: they share c, s and the trace."""
+    return [list(run) for _, run in groupby(pairs, key=attrgetter("h"))]
 
 
-def cone_radius(c1: float, s1: float, c2: float, s2: float,
-                epsilon: float) -> tuple[float | None, float | None]:
-    """Angular search radii (around +axis, around -axis) for dist <= epsilon.
+def _branch_select(db: Catalog, s, e, axes: np.ndarray, x) -> np.ndarray:
+    """Tile-index selection of the entries [s, e) for one cone branch.
 
-    dist <= eps iff |c1 c2 + s1 s2 (n1.n2)| >= 1 - eps^2; solving for the
-    axis angle gives a cone around the target axis (primary) and, when
-    the overlap can reach -(1 - eps^2), one around its antipode.
-    None = branch infeasible; pi = no angular constraint.
-    """
-    ss = s1 * s2
-    thr = 1.0 - epsilon * epsilon
-    if ss < 1e-12:
-        if abs(c1 * c2) >= thr - 1e-12:
-            return math.pi, None
-        return None, None
-    x = (thr - c1 * c2) / ss
-    pri = math.acos(min(1.0, max(-1.0, x))) if x <= 1.0 + 1e-12 else None
-    x2 = (thr + c1 * c2) / ss
-    ant = math.acos(min(1.0, max(-1.0, x2))) if x2 <= 1.0 + 1e-12 else None
-    return pri, ant
-
-
-class _AxisContext:
-    """Cached tiling lookups for one axis direction."""
-
-    __slots__ = ("axis", "face", "edge_d", "vertex_d")
-
-    def __init__(self, axis: np.ndarray):
-        self.axis = axis
-        self.face = face_of(axis)
-        self.edge_d = edge_distances(axis)
-        self.vertex_d = vertex_distances(axis)
-
-
-def scan_tile(bucket, axis: np.ndarray, alpha: float) -> np.ndarray:
-    """Candidate entry indices of one bucket for a cone of radius alpha.
-
-    The containing face list, plus every edge and vertex list within
-    2 alpha: an entry inside the cone but outside the face is within
-    alpha of its own nearest arc, which is then within 2 alpha of the
-    cone center.  alpha >= pi/2 degenerates to the whole bucket.
-    """
-    if not len(bucket):
-        return np.empty(0, np.int64)
-    if alpha >= math.pi / 2:
-        return np.arange(len(bucket))
-    ctx = _AxisContext(np.asarray(axis, dtype=np.float64))
-    widen = 2.0 * alpha + 1e-12
-    parts = [bucket.face_idx[ctx.face]]
-    for e in np.flatnonzero(ctx.edge_d <= widen):
-        parts.append(bucket.edge_idx[e])
-    for v in np.flatnonzero(ctx.vertex_d <= widen):
-        parts.append(bucket.vertex_idx[v])
-    return np.unique(np.concatenate(parts))
-
-
-class _Flat:
-    """Catalog-wide arrays for vectorized scans; cached on the Catalog."""
-
-    __slots__ = ("axes", "c1", "s1", "t", "face", "edge", "vert",
-                 "bucket_of", "starts")
-
-    def __init__(self, db: Catalog):
-        sizes = [len(b) for b in db.buckets]
-        n = sum(sizes)
-        self.axes = np.empty((n, 3))
-        self.c1 = np.empty(n)
-        self.s1 = np.empty(n)
-        self.t = np.empty(n, dtype=np.int64)
-        self.face = np.zeros(n, dtype=np.int64)
-        self.edge = np.zeros(n, dtype=np.int64)
-        self.vert = np.zeros(n, dtype=np.int64)
-        self.bucket_of = np.empty(n, dtype=np.int64)
-        self.starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.starts[1:])
-        for bi, b in enumerate(db.buckets):
-            s, e = self.starts[bi], self.starts[bi + 1]
-            self.axes[s:e] = b.axes
-            c1 = b.key / 2.0
-            self.c1[s:e] = c1
-            self.s1[s:e] = math.sqrt(max(0.0, 1.0 - c1 * c1))
-            self.t[s:e] = b.t_counts
-            self.bucket_of[s:e] = bi
-            for j, idx in enumerate(b.face_idx):
-                self.face[s + idx] = j
-            for j, idx in enumerate(b.edge_idx):
-                self.edge[s + idx] = j
-            for j, idx in enumerate(b.vertex_idx):
-                self.vert[s + idx] = j
-
-    def entry_bits(self, db: Catalog, gid: int):
-        bi = int(self.bucket_of[gid])
-        return db.buckets[bi].entry_bits(int(gid - self.starts[bi]))
-
-
-def _flat(db: Catalog) -> _Flat:
-    f = getattr(db, "_search_flat", None)
-    if f is None:
-        f = _Flat(db)
-        db._search_flat = f
-    return f
-
-
-def _branch_select(flat, s, e, ctx: _AxisContext, x) -> np.ndarray:
-    """Entrywise tile-index selection for one cone branch.
-
-    x is the per-entry cos(alpha) bound; selected iff feasible and the
-    entry's tile, nearest arc, or nearest corner meets the widened cone.
-    Mirrors scan_tile exactly, one entry at a time.
+    axes holds one cone centre per row, x the per-entry cos(alpha) bound;
+    entry j is selected for centre k iff feasible and its tile, nearest
+    arc, or nearest corner meets the widened cone: an entry inside the
+    cone but outside the centre's tile is within alpha of its own nearest
+    arc, which is then within 2 alpha of the centre.  alpha >= pi/2
+    selects every feasible entry.
     """
     feas = x <= 1.0 + 1e-12
     alpha = np.arccos(np.clip(x, -1.0, 1.0))
-    sel = feas & (alpha >= math.pi / 2)
     widen = 2.0 * alpha + 1e-12
-    near = flat.face[s:e] == ctx.face
-    near |= ctx.edge_d[flat.edge[s:e]] <= widen
-    near |= ctx.vertex_d[flat.vert[s:e]] <= widen
-    sel |= feas & near
-    return sel
+    near = db.face[s:e] == faces_of(axes)[:, None]
+    near |= edge_distances(axes)[:, db.edge[s:e]] <= widen
+    near |= vertex_distances(axes)[:, db.vert[s:e]] <= widen
+    return feas & ((alpha >= math.pi / 2) | near)
 
 
-def _pair_candidates(flat, s, e, pair: _Pair, epsilon: float,
-                     geometric: bool) -> np.ndarray:
-    """Global entry ids of [s, e) passing the cone selection (all, if linear)."""
-    if not geometric:
-        return np.arange(s, e)
-    c1 = flat.c1[s:e]
-    ss = flat.s1[s:e] * pair.s
-    cc = c1 * pair.c
+def _cone_candidates(db: Catalog, s, e, group: list[_Pair],
+                     epsilon: float) -> list[np.ndarray]:
+    """Global entry ids of [s, e) passing the cone selection, per pair of
+    one h group."""
+    c1 = db.c1[s:e]
+    ss = db.s1[s:e] * group[0].s
+    cc = c1 * group[0].c
     thr = 1.0 - epsilon * epsilon
     degenerate = ss < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         x_pri = (thr - cc) / ss
         x_ant = (thr + cc) / ss
-    sel = np.zeros(e - s, dtype=bool)
+    sel = np.zeros((len(group), e - s), dtype=bool)
     if not degenerate.all():
-        ctx_p = _AxisContext(pair.axis)
-        sel = _branch_select(flat, s, e, ctx_p, x_pri)
+        axes = np.array([pair.axis for pair in group])
+        sel = _branch_select(db, s, e, axes, x_pri)
         if (x_ant <= 1.0 + 1e-12).any():
-            ctx_m = _AxisContext(-pair.axis)
-            sel |= _branch_select(flat, s, e, ctx_m, x_ant)
+            sel |= _branch_select(db, s, e, -axes, x_ant)
         sel &= ~degenerate
     sel |= degenerate & (np.abs(cc) >= thr - 1e-12)
-    return s + np.flatnonzero(sel)
+    return [s + np.flatnonzero(row) for row in sel]
 
 
-def _eval_ids(flat, ids, pair: _Pair) -> np.ndarray:
+def _eval_ids(db: Catalog, ids, pair: _Pair) -> np.ndarray:
     """Distances of the selected entries to one dressed target."""
-    dots = flat.axes[ids] @ pair.axis
-    vals = np.abs(flat.c1[ids] * pair.c + (flat.s1[ids] * pair.s) * dots)
+    dots = db.axes[ids] @ pair.axis
+    vals = np.abs(db.c1[ids] * pair.c + (db.s1[ids] * pair.s) * dots)
     dsq = np.maximum(0.0, 1.0 - vals)
     dsq[dsq < _SNAP] = 0.0
     return np.sqrt(dsq)
@@ -284,10 +185,10 @@ class _Best:
     def _key(self, t, d, bits, h, g):
         return (d, t, bits, h, g) if self.dist_first else (t, d, bits, h, g)
 
-    def offer(self, flat, db, ids, d, pair: _Pair):
+    def offer(self, db: Catalog, ids, d, pair: _Pair):
         if len(ids) == 0:
             return
-        t = flat.t[ids]
+        t = db.t[ids]
         k = np.lexsort((d, t) if not self.dist_first else (t, d))[0]
         tb, db_ = int(t[k]), float(d[k])
         if self.t is not None:
@@ -296,7 +197,7 @@ class _Best:
                 return
         # resolve exact ties on the numeric part by block bits
         tie = np.flatnonzero((d == db_) & (t == tb))
-        bits = min(flat.entry_bits(db, int(ids[j])) for j in tie)
+        bits = min(db.entry_bits(int(ids[j])) for j in tie)
         if self.t is None or self._key(tb, db_, bits, pair.h, pair.g) < \
                 self._key(self.t, self.d, self.bits, self.h, self.g):
             self.t, self.d, self.bits = tb, db_, bits
@@ -311,9 +212,11 @@ def _finish(best: _Best, mat: np.ndarray) -> ApproxResult:
     final = dist_matrix(circuit.to_unitary().to_matrix(), mat)
     # squared distances are linear in the trace, so they compare cleanly;
     # the distances themselves lose half the precision near zero
+    # a stored axis that disagrees with the entry's bits shows up here
     if abs(final * final - best.d * best.d) > 1e-9:
-        raise AssertionError(
-            f"reassembled circuit distance {final} disagrees with scan {best.d}"
+        raise CatalogError(
+            f"corrupt catalog: reassembled circuit distance {final} "
+            f"disagrees with scan {best.d}"
         )
     return ApproxResult(circuit, best.t, best.d, True)
 
@@ -326,60 +229,60 @@ def approximate(q: ApproxQuery, db: Catalog, method: str = "geometric") -> Appro
         raise ValueError(f"unknown method {method!r}")
     geometric = method == "geometric"
     mat = as_matrix(q.target)
-    flat = _flat(db)
     eps = q.epsilon
     best = _Best(dist_first=False)
-    for pair in coset_targets(mat):
+    for group in _h_groups(coset_targets(mat)):
         if geometric:
-            win = db.window(pair.trace, 4.0 * eps + DELTA_BUCKET)
+            win = db.window(group[0].trace, 4.0 * eps + DELTA_BUCKET)
             if len(win) == 0:
                 continue
-            s, e = int(flat.starts[win.start]), int(flat.starts[win.stop])
+            s, e = int(db.starts[win.start]), int(db.starts[win.stop])
+            candidates = _cone_candidates(db, s, e, group, eps)
         else:
-            s, e = 0, int(flat.starts[-1])
-        ids = _pair_candidates(flat, s, e, pair, eps, geometric)
-        if len(ids) == 0:
-            continue
-        d = _eval_ids(flat, ids, pair)
-        ok = d < eps
-        best.offer(flat, db, ids[ok], d[ok], pair)
+            candidates = [np.arange(db.entry_count())] * len(group)
+        for pair, ids in zip(group, candidates):
+            if len(ids) == 0:
+                continue
+            d = _eval_ids(db, ids, pair)
+            ok = d < eps
+            best.offer(db, ids[ok], d[ok], pair)
     return _finish(best, mat)
 
 
 def nearest(target, db: Catalog) -> ApproxResult:
     """Global minimum-distance entry, no epsilon cap (distance-first order)."""
     mat = as_matrix(target)
-    flat = _flat(db)
-    pairs = coset_targets(mat)
+    groups = _h_groups(coset_targets(mat))
     best = _Best(dist_first=True)
 
     # seed: the nearest-key bucket per pair, scanned linearly
-    nb = len(db.buckets)
-    for pair in pairs:
-        lo = int(np.searchsorted(db.keys, pair.trace))
-        s = int(flat.starts[max(0, lo - 1)])
-        e = int(flat.starts[min(nb, lo + 1)])
+    nb = len(db.keys)
+    for group in groups:
+        lo = int(np.searchsorted(db.keys, group[0].trace))
+        s = int(db.starts[max(0, lo - 1)])
+        e = int(db.starts[min(nb, lo + 1)])
         if s < e:
             ids = np.arange(s, e)
-            best.offer(flat, db, ids, _eval_ids(flat, ids, pair), pair)
+            for pair in group:
+                best.offer(db, ids, _eval_ids(db, ids, pair), pair)
 
     # sweep until the trace window at the current best stabilizes
     for _ in range(64):
         eps_now = min(1.0, best.d * (1 + 1e-12) + 1e-15)
         improved = False
-        for pair in pairs:
-            win = db.window(pair.trace, 4.0 * eps_now + DELTA_BUCKET)
+        for group in groups:
+            win = db.window(group[0].trace, 4.0 * eps_now + DELTA_BUCKET)
             if len(win) == 0:
                 continue
-            s, e = int(flat.starts[win.start]), int(flat.starts[win.stop])
-            ids = _pair_candidates(flat, s, e, pair, eps_now, True)
-            if len(ids) == 0:
-                continue
-            d = _eval_ids(flat, ids, pair)
-            before = (best.d, best.t, best.bits, best.h, best.g)
-            best.offer(flat, db, ids, d, pair)
-            if (best.d, best.t, best.bits, best.h, best.g) != before:
-                improved = True
+            s, e = int(db.starts[win.start]), int(db.starts[win.stop])
+            for pair, ids in zip(group, _cone_candidates(db, s, e, group, eps_now)):
+                if len(ids) == 0:
+                    continue
+                d = _eval_ids(db, ids, pair)
+                before = (best.d, best.t, best.bits, best.h, best.g)
+                best.offer(db, ids, d, pair)
+                if (best.d, best.t, best.bits, best.h, best.g) != before:
+                    improved = True
         if not improved:
             break
     return _finish(best, mat)

@@ -133,10 +133,6 @@ class ExactUnitary:
     def key(self) -> tuple:
         return psu2_key(self.m, self.k)
 
-    def phase_canonical(self) -> "ExactUnitary":
-        kk = self.key()
-        return ExactUnitary(kk[:16], kk[16])
-
     def trace_abs_sq(self) -> Real2:
         t = (self.m[0] + self.m[12], self.m[1] + self.m[13],
              self.m[2] + self.m[14], self.m[3] + self.m[15])

@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from qcanon.catalog import (DELTA_BUCKET, Bucket, Catalog, CatalogError,
-                            build, canonical_count, crc64, enumerate_canonical,
-                            load, save)
+from qcanon.catalog import (DELTA_BUCKET, CatalogError, build, canonical_count,
+                            crc64, enumerate_canonical, load, save)
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
 
 
@@ -52,32 +51,33 @@ def test_build_entry_count_matches_closed_form(db12):
 def test_bucket_keys_sorted_and_separated(db12):
     keys = db12.keys
     assert np.all(np.diff(keys) > 2 * DELTA_BUCKET)
-    for b in db12.buckets:
-        assert np.all(np.abs(b.traces - b.key) < DELTA_BUCKET)
-        assert 0.0 <= b.key <= 2.0 + 1e-12
+    bucket_key = np.repeat(keys, np.diff(db12.starts))
+    assert np.all(np.abs(db12.traces - bucket_key) < DELTA_BUCKET)
+    assert np.all((0.0 <= keys) & (keys <= 2.0 + 1e-12))
 
 
 def test_bucket_entries_reevaluate_exactly(db12):
     # trace and axis stored per entry must match exact re-evaluation
     rng = np.random.default_rng(5)
-    for bi in rng.choice(len(db12.buckets), size=12, replace=False):
-        b = db12.buckets[bi]
-        i = int(rng.integers(len(b)))
-        bits = b.entry_bits(i)
+    for bi in rng.choice(len(db12.keys), size=12, replace=False):
+        s, e = db12.starts[bi], db12.starts[bi + 1]
+        i = int(s + rng.integers(e - s))
+        bits = db12.entry_bits(i)
         u = tokens_to_unitary(blocks_tokens(bits))
-        assert abs(float(u.trace_abs_sq()) - b.key ** 2) < 4 * DELTA_BUCKET
-        assert len(bits) == int(b.t_counts[i])
+        assert abs(float(u.trace_abs_sq()) - db12.keys[bi] ** 2) < 4 * DELTA_BUCKET
+        assert len(bits) == int(db12.t[i])
         assert is_canonical_bits(bits)
 
 
 def test_buckets_are_tcount_homogeneous(db12):
-    for b in db12.buckets:
-        assert int(b.t_counts.min()) == int(b.t_counts.max())
+    lo = db12.starts[:-1]
+    assert np.array_equal(np.minimum.reduceat(db12.t, lo),
+                          np.maximum.reduceat(db12.t, lo))
 
 
 def test_distinct_traces_cap(db12):
     total = db12.distinct_traces()
-    assert total == len(db12.buckets)
+    assert total == len(db12.keys)
     assert db12.distinct_traces(4) < total
     assert db12.distinct_traces(12) == total
 
@@ -90,11 +90,8 @@ def test_window_brackets_keys(db12):
     assert all(abs(db12.keys[i] - mid) >= 0.05 - 1e-15 for i in below)
 
 
-def test_degenerate_flags(db12):
-    for b in db12.buckets:
-        assert b.degenerate == (b.key <= DELTA_BUCKET
-                                or b.key >= 2.0 - DELTA_BUCKET)
-    assert any(b.degenerate for b in db12.buckets)  # identity bucket exists
+def test_identity_bucket_exists(db12):
+    assert np.any(db12.keys >= 2.0 - DELTA_BUCKET)
 
 
 def test_build_deterministic_across_workers(tmp_path):
@@ -119,11 +116,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.max_tcount == cat.max_tcount
     assert back.entry_count() == cat.entry_count()
     assert np.array_equal(back.keys, cat.keys)
-    for b1, b2 in zip(cat.buckets, back.buckets):
-        assert np.array_equal(b1.t_counts, b2.t_counts)
-        assert b1.bits_packed == b2.bits_packed
-        assert np.array_equal(b1.traces, b2.traces)
-        assert np.array_equal(b1.axes, b2.axes)
+    for column in ("starts", "t", "bits", "traces", "axes"):
+        assert np.array_equal(getattr(back, column), getattr(cat, column))
     p2 = tmp_path / "c2.qcat"
     save(back, p2)
     assert p.read_bytes() == p2.read_bytes()
@@ -155,6 +149,13 @@ def test_load_rejects_truncation(tmp_path):
         load(p)
 
 
+def test_load_rejects_empty_catalog(tmp_path):
+    p = tmp_path / "c.qcat"
+    p.write_bytes(_resign(b"QCAN" + struct.pack("<II", 1, 4) + bytes(8)))
+    with pytest.raises(CatalogError, match="no entries"):
+        load(p)
+
+
 def test_load_rejects_bad_magic_even_with_valid_crc(tmp_path):
     p = tmp_path / "c.qcat"
     save(build(4), p)
@@ -182,6 +183,43 @@ def test_load_rejects_entry_past_declared_tmax(tmp_path):
     struct.pack_into("<I", blob, 8, 1)  # claim t_max = 1; entries go to 4
     p.write_bytes(_resign(bytes(blob)))
     with pytest.raises(CatalogError, match="exceeds catalog t_max"):
+        load(p)
+
+
+def _first_trace_offset(blob) -> int:
+    """File offset of the first entry's stored trace; its axis follows."""
+    return 12 + 16 + 1 + (blob[28] + 7) // 8
+
+
+def test_load_rejects_trace_off_its_bucket_key(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(5), p)
+    blob = bytearray(p.read_bytes())
+    off = _first_trace_offset(blob)
+    trace, = struct.unpack_from("<d", blob, off)
+    struct.pack_into("<d", blob, off, trace + 1e-6)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="stored trace"):
+        load(p)
+
+
+def test_load_rejects_non_unit_axis(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(5), p)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<3d", blob, _first_trace_offset(blob) + 8, 1.0, 1.0, 0.0)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="unit vector"):
+        load(p)
+
+
+def test_load_rejects_tmax_above_supported(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(4), p)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 8, 27)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="above the supported"):
         load(p)
 
 

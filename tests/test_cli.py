@@ -126,6 +126,13 @@ def test_corrupt_db_is_operational_error(tmp_path, capsys):
     assert "checksum mismatch" in err
 
 
+def test_axis_disagreeing_with_bits_exits_one(capsys, swapped_axes_path):
+    code, _, err = run(capsys, "approx", "--db", str(swapped_axes_path),
+                       "--eps", "1e-6", "--gates", "THTHTHTHSHTHTH")
+    assert code == 1
+    assert err.startswith("error: corrupt catalog")
+
+
 def test_missing_db_file(capsys, tmp_path):
     code, _, err = run(capsys, "approx", "--db", str(tmp_path / "none.qcat"),
                        "--eps", "0.1", "--gates", "T")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcanon.catalog import build, enumerate_canonical
+from qcanon.catalog import CatalogError, build, enumerate_canonical, load
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
 from qcanon.search import (ApproxQuery, ApproxResult, approximate, as_matrix,
@@ -148,6 +148,18 @@ def test_nearest_matches_exhaustive_scan(db6):
         assert res.achieved_dist == pytest.approx(best, abs=1e-9)
 
 
+def test_nearest_matches_dense_minimum(db12):
+    # every entry against every dressed target, with no tile pruning
+    for target in haar_targets(51, 8):
+        best_sq = np.inf
+        for pair in coset_targets(as_matrix(target)):
+            dots = db12.axes @ pair.axis
+            vals = np.abs(db12.c1 * pair.c + (db12.s1 * pair.s) * dots)
+            best_sq = min(best_sq, float(np.maximum(0.0, 1.0 - vals).min()))
+        res = nearest(target, db12)
+        assert res.achieved_dist == pytest.approx(np.sqrt(best_sq), abs=1e-12)
+
+
 def test_nearest_prefers_distance_over_t(db6):
     # a point near a deep entry must not be rounded to a shallow one
     bits = (0, 0, 0, 0, 1, 1)
@@ -162,3 +174,9 @@ def test_approximate_prefers_t_over_distance(db6):
     res = approximate(ApproxQuery(from_word("T"), 1.0), db6)
     assert res.found
     assert res.t_count == 0  # some Clifford is within dist 1 of T
+
+
+def test_axis_disagreeing_with_bits_is_catalog_error(swapped_axes_path):
+    db = load(swapped_axes_path)
+    with pytest.raises(CatalogError, match="corrupt catalog"):
+        approximate(ApproxQuery(from_word("THTHTHTHSHTHTH"), 1e-6), db)
