@@ -6,20 +6,28 @@ double |trace| key, and bucket b owns entries starts[b]:starts[b + 1].
 Per entry there is the T-count, the packed block bits, the stored |trace|,
 the rotation axis, the search's c1 = key / 2 and s1 = sqrt(1 - c1^2), and
 the axis's containing tile, nearest boundary arc and nearest corner, all
-three from one `assign_bins` call over every axis.  The file format is a
-flat little-endian dump, bucket by bucket, with a trailing CRC-64 so
-truncation and bit rot are detected on load; stored traces must also lie
-within the bucket tolerance of their key, and stored axes must be unit.
+three from one `assign_bins` call over every axis.
+
+The file (format version 2) is these columns themselves: a 24-byte
+little-endian header (magic, version, t_max, bucket count, entry count),
+then keys f8[nb], starts i8[nb + 1], traces f8[n], axes f8[n, 3], bits
+u4[n] and t u1[n] as raw little-endian arrays, then a CRC-32 (zlib) of all
+bytes before it, so truncation and bit rot are detected on load.  `load`
+also checks that the counts give the file's length, that starts rises
+strictly from 0 to n, that no T-count exceeds t_max and that no entry has
+block bits set at or past its T-count; stored traces
+must lie within the bucket tolerance of their key, and stored axes must be
+unit.  Version 1 files (a per-record dump) are refused: rebuild them.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import assign_bins
 from .rewrite import pack_bits, unpack_bits
@@ -27,7 +35,7 @@ from .ring import Real2
 from .unitary import ExactUnitary, GATES, su2_quaternion
 
 MAGIC = b"QCAN"
-VERSION = 1
+VERSION = 2
 DELTA_BUCKET = 1e-10
 DEFAULT_MAX_TCOUNT = 26
 _AXIS_NORM_TOL = 1e-9
@@ -112,8 +120,8 @@ class Catalog:
     """Immutable entry columns, grouped into buckets sorted by trace key.
 
     keys[b] is the |trace| of bucket b and starts[b]:starts[b + 1] its
-    entries.  Entry columns: t (T-count), bits (the packed block bits of
-    the file format read as a little-endian integer), traces, axes (n, 3),
+    entries.  Entry columns: t (T-count), bits (the block bits as packed
+    by `pack_bits`, read as a little-endian integer), traces, axes (n, 3),
     c1 and s1 (the cosine and sine of the half rotation angle, from the
     bucket key), and face/edge/vert (containing tile, nearest arc, nearest
     corner of the axis).
@@ -216,45 +224,25 @@ def _bucketize(rows, t_max: int) -> Catalog:
     )
 
 
-# CRC-64/XZ: reflected 0x42F0E1EBA9EA3693, init and xorout all-ones.
-_CRC_TABLE = []
-for _b in range(256):
-    _c = _b
-    for _ in range(8):
-        _c = (_c >> 1) ^ 0xC96C5795D7870F42 if _c & 1 else _c >> 1
-    _CRC_TABLE.append(_c)
+# File format v2 (see the module docstring); the 8-byte columns lead, so
+# each sits 8-byte aligned after the 24-byte header.
+_HEADER = struct.Struct("<4sIIIQ")  # magic, version, t_max, buckets, entries
+_CRC = struct.Struct("<I")
 
 
-def crc64(data: bytes, crc: int = 0) -> int:
-    crc ^= 0xFFFFFFFFFFFFFFFF
-    for byte in data:
-        crc = _CRC_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
-
-
-if crc64(b"123456789") != 0x995DC9BBDF1939FA:
-    raise AssertionError("CRC-64 self-check failed")
-
-
-# An entry record is its T-count byte, ceil(t / 8) bytes of packed block
-# bits, then the trace and the three axis coordinates as doubles.
-_FLOAT_BYTES = 32
+def _layout(nb: int, n: int):
+    """(column, dtype, shape) of each array, in file order."""
+    return (("keys", "<f8", (nb,)), ("starts", "<i8", (nb + 1,)),
+            ("traces", "<f8", (n,)), ("axes", "<f8", (n, 3)),
+            ("bits", "<u4", (n,)), ("t", "u1", (n,)))
 
 
 def save(cat: Catalog, path) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, cat.max_tcount)]
-    floats = np.column_stack([cat.traces, cat.axes]).astype("<f8").tobytes()
-    ts, bits, starts = cat.t.tolist(), cat.bits.tolist(), cat.starts.tolist()
-    for b, key in enumerate(cat.keys.tolist()):
-        s, e = starts[b], starts[b + 1]
-        parts.append(struct.pack("<dQ", key, e - s))
-        for i in range(s, e):
-            t = ts[i]
-            parts.append(bytes((t,)))
-            parts.append(bits[i].to_bytes((t + 7) // 8, "little"))
-            parts.append(floats[_FLOAT_BYTES * i:_FLOAT_BYTES * (i + 1)])
-    blob = b"".join(parts)
-    blob += struct.pack("<Q", crc64(blob))
+    nb, n = len(cat.keys), cat.entry_count()
+    blob = _HEADER.pack(MAGIC, VERSION, cat.max_tcount, nb, n)
+    blob += b"".join(np.ascontiguousarray(getattr(cat, name), dtype).tobytes()
+                     for name, dtype, _ in _layout(nb, n))
+    blob += _CRC.pack(zlib.crc32(blob))
     with open(path, "wb") as f:
         f.write(blob)
 
@@ -262,55 +250,35 @@ def save(cat: Catalog, path) -> None:
 def load(path) -> Catalog:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 20:
+    if len(blob) < _HEADER.size + _CRC.size:
         raise CatalogError("file too short")
-    stored, = struct.unpack_from("<Q", blob, len(blob) - 8)
-    if crc64(blob[:-8]) != stored:
-        raise CatalogError("checksum mismatch")
-    if blob[:4] != MAGIC:
+    magic, version, t_max, nb, n = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
         raise CatalogError("bad magic")
-    version, t_max = struct.unpack_from("<II", blob, 4)
+    # before the checksum, which an older format computes differently
     if version != VERSION:
-        raise CatalogError(f"unsupported version {version}")
+        raise CatalogError(f"unsupported version {version}; catalogs are derived "
+                           f"data, rebuild this one with `qcanon build-db`")
+    stored, = _CRC.unpack_from(blob, len(blob) - _CRC.size)
+    if zlib.crc32(memoryview(blob)[:-_CRC.size]) != stored:
+        raise CatalogError("checksum mismatch")
     if t_max > DEFAULT_MAX_TCOUNT:
         raise CatalogError(f"t_max {t_max} above the supported {DEFAULT_MAX_TCOUNT}")
-    # one pass finds where each entry record starts; the columns are then
-    # gathered from the whole file at once
-    off, end = 12, len(blob) - 8
-    keys, starts, recs = [], [0], []
-    while off < end:
-        if off + 16 > end:
-            raise CatalogError("truncated bucket header")
-        key, count = struct.unpack_from("<dQ", blob, off)
-        off += 16
-        for _ in range(count):
-            if off >= end:
-                raise CatalogError("truncated entry")
-            recs.append(off)
-            off += 1 + (blob[off] + 7) // 8 + _FLOAT_BYTES
-            if off > end:
-                raise CatalogError("truncated entry")
-        keys.append(key)
-        starts.append(len(recs))
-    if not recs:
+    layout = _layout(nb, n)
+    size = sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout)
+    if _HEADER.size + size + _CRC.size != len(blob):
+        raise CatalogError("header counts disagree with the file length")
+    if n == 0:
         raise CatalogError("catalog holds no entries")
-    buf = np.frombuffer(blob, dtype=np.uint8)
-    pos = np.array(recs, dtype=np.int64)
-    t = buf[pos]
-    if (t > t_max).any():
+    cols, off = {}, _HEADER.size
+    for name, dtype, shape in layout:
+        cols[name] = np.frombuffer(blob, dtype, math.prod(shape), off).reshape(shape)
+        off += cols[name].nbytes
+    starts = cols["starts"]
+    if starts[0] != 0 or starts[-1] != n or not (np.diff(starts) > 0).all():
+        raise CatalogError("bucket starts do not rise strictly from 0 to the entry count")
+    if (cols["t"] > t_max).any():
         raise CatalogError("entry exceeds catalog t_max")
-    nbytes = (t.astype(np.int64) + 7) // 8
-    # t <= 26 keeps the packed bits within the 4 bytes after the T-count
-    head = sliding_window_view(buf, 4)[pos + 1].astype(np.uint32)
-    head[np.arange(4) >= nbytes[:, None]] = 0
-    bits = (head << np.uint32([0, 8, 16, 24])).sum(axis=1, dtype=np.uint32)
-    floats = sliding_window_view(buf, _FLOAT_BYTES)[pos + 1 + nbytes].view("<f8")
-    return Catalog(
-        t_max,
-        keys=np.array(keys),
-        starts=np.array(starts, dtype=np.int64),
-        t=t,
-        bits=bits,
-        traces=np.ascontiguousarray(floats[:, 0], dtype=np.float64),
-        axes=np.ascontiguousarray(floats[:, 1:], dtype=np.float64),
-    )
+    if (cols["bits"] >> cols["t"]).any():
+        raise CatalogError("entry bits set beyond its T-count")
+    return Catalog(t_max, **cols)

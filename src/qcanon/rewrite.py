@@ -307,30 +307,9 @@ def invert_nf(nf: NormalForm) -> NormalForm:
     return normalize_tokens(toks)
 
 
-def compose_nf(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Normal form of the product a . b, with all T cancellations taken."""
-    return normalize_tokens(a.to_tokens() + b.to_tokens())
-
-
 def compose_reduce(a: CosetForm, b: NormalForm) -> NormalForm:
     """Normal form of a . b.  T-count(result) <= T-count(a) + T-count(b)."""
     return normalize_tokens(a.to_tokens() + b.to_tokens())
-
-
-def compose_cancels(a: NormalForm, b: NormalForm) -> bool:
-    """Predict whether compose_nf(a, b) loses T pairs, without composing.
-
-    The junction Clifford between a's last T and b's first block is
-    H . a.tail . [H].  Renormalizing it against b's body either yields a
-    valid separator (H or HSH prefix, no cancellation) or leads with a
-    bare TH block, which collides with a's open T.
-    """
-    if not a.body or not b.body:
-        return False
-    probe = normalize_tokens(
-        [G_H, a.tail] + ([G_H] if b.hpre else []) + blocks_tokens(b.body)
-    )
-    return bool(probe.body) and not probe.hpre
 
 
 def adjoint_z_state(bits) -> tuple[int, tuple[int, int, int, int, int, int]]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .catalog import Catalog
 from .rewrite import NormalForm, compose_reduce, invert_nf, normalize_tokens
-from .search import ApproxQuery, approximate, as_matrix, dist_matrix, nearest
+from .search import _SNAP, ApproxQuery, approximate, as_matrix, dist_matrix, nearest
 from .unitary import su2_quaternion
 
 _ID = np.eye(2, dtype=complex)
@@ -140,9 +140,10 @@ def _gc_step(target_mat, prev_form, prev_mat, sub_depth, cfg, stats,
         stats["compose_merged" if form.t_count < before else "compose_plain"] += 1
     carried = va_mat @ wa_mat @ va_mat.conj().T @ wa_mat.conj().T @ prev_mat
     # cheap per-level re-derivation in doubles guards the carried product;
-    # only divergence pays for an exact re-evaluation
+    # only divergence pays for an exact re-evaluation, not rounding noise
+    # (a squared distance below _SNAP, as in search)
     derived = _word_matrix(form.to_word())
-    if dist_matrix(carried, derived) > 1e-8:
+    if dist_matrix(carried, derived) ** 2 >= _SNAP:
         stats["exact_reevals"] += 1
         carried = form.to_unitary().to_matrix()
     depth_max[sub_depth + 1] = max(depth_max[sub_depth + 1], form.t_count)

@@ -204,15 +204,6 @@ def from_word(word: str) -> ExactUnitary:
     return u
 
 
-def abs_trace_sq(u: ExactUnitary) -> Real2:
-    """Exact |tr(U)|^2 as a scaled Z[sqrt 2] value."""
-    return u.trace_abs_sq()
-
-
-def abs_trace(u: ExactUnitary) -> float:
-    return math.sqrt(max(0.0, float(u.trace_abs_sq())))
-
-
 def su2_quaternion(mat: np.ndarray) -> np.ndarray:
     """(c, sx, sy, sz) with U ~ c I - i (sx X + sy Y + sz Z), c >= 0.
 

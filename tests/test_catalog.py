@@ -1,10 +1,11 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from qcanon.catalog import (DELTA_BUCKET, CatalogError, build, canonical_count,
-                            crc64, enumerate_canonical, load, save)
+                            enumerate_canonical, load, save)
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
 
 
@@ -103,11 +104,6 @@ def test_build_deterministic_across_workers(tmp_path):
 
 # -- serialization ---------------------------------------------------------------
 
-def test_crc64_check_vector():
-    assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-    assert crc64(b"") == 0
-
-
 def test_save_load_round_trip(tmp_path):
     cat = build(8)
     p = tmp_path / "c.qcat"
@@ -123,8 +119,34 @@ def test_save_load_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+# v2 layout: a 24-byte header (magic, version u32 at 4, t_max u32 at 8,
+# bucket count u32 at 12, entry count u64 at 16), then keys f8[nb],
+# starts i8[nb + 1], traces f8[n], axes f8[n, 3], bits u4[n], t u1[n],
+# then a CRC-32 of everything before it.
+_HEADER = 24
+
+
 def _resign(blob: bytes) -> bytes:
-    return blob[:-8] + struct.pack("<Q", crc64(blob[:-8]))
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def _counts(blob) -> tuple[int, int]:
+    nb, = struct.unpack_from("<I", blob, 12)
+    n, = struct.unpack_from("<Q", blob, 16)
+    return nb, n
+
+
+def _starts_offset(blob) -> int:
+    return _HEADER + 8 * _counts(blob)[0]
+
+
+def _first_trace_offset(blob) -> int:
+    """File offset of the first entry's stored trace."""
+    return _starts_offset(blob) + 8 * (_counts(blob)[0] + 1)
+
+
+def _first_axis_offset(blob) -> int:
+    return _first_trace_offset(blob) + 8 * _counts(blob)[1]
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -151,7 +173,8 @@ def test_load_rejects_truncation(tmp_path):
 
 def test_load_rejects_empty_catalog(tmp_path):
     p = tmp_path / "c.qcat"
-    p.write_bytes(_resign(b"QCAN" + struct.pack("<II", 1, 4) + bytes(8)))
+    header = b"QCAN" + struct.pack("<IIIQ", 2, 4, 0, 0)
+    p.write_bytes(_resign(header + struct.pack("<q", 0) + bytes(4)))
     with pytest.raises(CatalogError, match="no entries"):
         load(p)
 
@@ -176,6 +199,20 @@ def test_load_rejects_unknown_version(tmp_path):
         load(p)
 
 
+def test_load_rejects_version_1_asking_for_a_rebuild(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(4), p)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="version 1.*rebuild"):
+        load(p)
+    # a real v1 file ends in a CRC-64; the version is read before any checksum
+    p.write_bytes(b"QCAN" + struct.pack("<II", 1, 4) + bytes(40) + bytes(8))
+    with pytest.raises(CatalogError, match="version 1.*rebuild"):
+        load(p)
+
+
 def test_load_rejects_entry_past_declared_tmax(tmp_path):
     p = tmp_path / "c.qcat"
     save(build(4), p)
@@ -186,9 +223,50 @@ def test_load_rejects_entry_past_declared_tmax(tmp_path):
         load(p)
 
 
-def _first_trace_offset(blob) -> int:
-    """File offset of the first entry's stored trace; its axis follows."""
-    return 12 + 16 + 1 + (blob[28] + 7) // 8
+def test_load_rejects_bits_past_the_tcount(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(6), p)
+    blob = bytearray(p.read_bytes())
+    nb, n = _counts(blob)
+    off = _first_axis_offset(blob) + 24 * n + 4 * (n - 1)  # last entry's bits
+    bits, = struct.unpack_from("<I", blob, off)
+    struct.pack_into("<I", blob, off, bits | 1 << 30)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="bits set beyond"):
+        load(p)
+
+
+def test_load_rejects_counts_disagreeing_with_length(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(5), p)
+    blob = bytearray(p.read_bytes())
+    nb, n = _counts(blob)
+    for offset, fmt, value in ((12, "<I", nb + 1), (16, "<Q", n - 1), (16, "<Q", 2 ** 62)):
+        bad = bytearray(blob)
+        struct.pack_into(fmt, bad, offset, value)
+        p.write_bytes(_resign(bytes(bad)))
+        with pytest.raises(CatalogError, match="disagree with the file length"):
+            load(p)
+
+
+@pytest.mark.parametrize("where", ["first", "last", "empty_bucket"])
+def test_load_rejects_bad_bucket_starts(tmp_path, where):
+    p = tmp_path / "c.qcat"
+    save(build(5), p)
+    blob = bytearray(p.read_bytes())
+    nb, n = _counts(blob)
+    off = _starts_offset(blob)
+    starts = list(struct.unpack_from(f"<{nb + 1}q", blob, off))
+    if where == "first":
+        starts[0] = 1
+    elif where == "last":
+        starts[-1] = n - 1
+    else:
+        starts[2] = starts[1]
+    struct.pack_into(f"<{nb + 1}q", blob, off, *starts)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="bucket starts"):
+        load(p)
 
 
 def test_load_rejects_trace_off_its_bucket_key(tmp_path):
@@ -207,7 +285,7 @@ def test_load_rejects_non_unit_axis(tmp_path):
     p = tmp_path / "c.qcat"
     save(build(5), p)
     blob = bytearray(p.read_bytes())
-    struct.pack_into("<3d", blob, _first_trace_offset(blob) + 8, 1.0, 1.0, 0.0)
+    struct.pack_into("<3d", blob, _first_axis_offset(blob), 1.0, 1.0, 0.0)
     p.write_bytes(_resign(bytes(blob)))
     with pytest.raises(CatalogError, match="unit vector"):
         load(p)

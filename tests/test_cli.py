@@ -118,7 +118,7 @@ def test_corrupt_db_is_operational_error(tmp_path, capsys):
     p = tmp_path / "bad.qcat"
     save(build(4), p)
     blob = bytearray(p.read_bytes())
-    blob[25] ^= 0x55
+    blob[25] ^= 0x55  # a byte of the first bucket key, just past the header
     p.write_bytes(bytes(blob))
     code, _, err = run(capsys, "approx", "--db", str(p), "--eps", "0.1",
                        "--gates", "T")

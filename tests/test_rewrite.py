@@ -6,10 +6,10 @@ from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, G_I, MULT
 from qcanon.rewrite import (METER, RESTART_LHS, RESTART_RHS, SQUEEZE, T_TOK,
                             CosetForm, NormalForm, adjoint_z, adjoint_z_state,
                             blocks_tokens, canonicalize_nf, canonicalize_word,
-                            compose_cancels, compose_nf, compose_reduce,
-                            invert_nf, is_canonical_bits, normalize_tokens,
-                            normalize_word, pack_bits, parse_word,
-                            tokens_to_unitary, unpack_bits, _verify_tables)
+                            compose_reduce, invert_nf, is_canonical_bits,
+                            normalize_tokens, normalize_word, pack_bits,
+                            parse_word, tokens_to_unitary, unpack_bits,
+                            _verify_tables)
 from qcanon.unitary import GATES, from_word, psu2_equal, adjoint_action
 
 words = st.text(alphabet="HTS", min_size=0, max_size=200)
@@ -149,7 +149,7 @@ def test_invert_nf(w):
     nf = normalize_word(w)
     inv = invert_nf(nf)
     assert inv.t_count == nf.t_count
-    prod = compose_nf(nf, inv)
+    prod = compose_reduce(nf, inv)
     assert prod == NormalForm(False, (), G_I)
     assert psu2_equal(inv.to_unitary(), nf.to_unitary().adjoint())
 
@@ -157,7 +157,7 @@ def test_invert_nf(w):
 @given(words, words)
 def test_compose_subadditive(w1, w2):
     a, b = normalize_word(w1), normalize_word(w2)
-    c = compose_nf(a, b)
+    c = compose_reduce(a, b)
     assert c.t_count <= a.t_count + b.t_count
     assert psu2_equal(c.to_unitary(), a.to_unitary() * b.to_unitary())
 
@@ -166,19 +166,12 @@ def test_compose_subadditive(w1, w2):
 def test_compose_with_clifford_costs_nothing(w, g):
     a = normalize_word(w)
     b = normalize_word(CLIFFORD_WORDS[g])
-    assert compose_nf(a, b).t_count == a.t_count
-    assert compose_nf(b, a).t_count == a.t_count
+    assert compose_reduce(a, b).t_count == a.t_count
+    assert compose_reduce(b, a).t_count == a.t_count
 
 
 @given(words, words)
-def test_compose_cancels_predicts(w1, w2):
-    a, b = normalize_word(w1), normalize_word(w2)
-    c = compose_nf(a, b)
-    assert compose_cancels(a, b) == (c.t_count < a.t_count + b.t_count)
-
-
-@given(words, words)
-def test_compose_reduce_matches_compose_nf(w1, w2):
+def test_compose_reduce_matches_product(w1, w2):
     a = canonicalize_word(w1)
     b = normalize_word(w2)
     c = compose_reduce(a, b)

@@ -1,13 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qcanon.catalog import build
-from qcanon.rewrite import NormalForm, is_canonical_bits
+from qcanon.rewrite import NormalForm, is_canonical_bits, normalize_word
 from qcanon.search import dist_matrix, nearest
-from qcanon.sk import (SkConfig, SkError, _align_z, _rot, gc_decompose,
-                       sk_approximate)
+from qcanon.sk import (SkConfig, SkError, _align_z, _gc_step, _rot, _word_matrix,
+                       gc_decompose, sk_approximate)
 
 _ID = np.eye(2, dtype=np.complex128)
 
@@ -147,6 +148,23 @@ def test_depth_zero_equals_nearest(db12):
     assert res.t_count == base.t_count
     assert res.dist_per_level[0] == pytest.approx(base.achieved_dist, abs=1e-9)
     assert len(res.circuit_per_level) == 1
+
+
+def test_gc_step_reevaluates_only_real_divergence(db12):
+    # the carried product is the previous level's matrix; with the target
+    # equal to it the commutator factors are identities, so what is carried
+    # is that matrix, checked against the word's own product in doubles
+    form = normalize_word("TH" * 11)
+    rounded = form.to_unitary().to_matrix()
+    derived = _word_matrix(form.to_word())
+    assert 0.0 < dist_matrix(rounded, derived) < 1e-7  # rounding noise only
+    # a rotation by 2 sqrt(2) 1e-6 sits at distance 1e-6
+    perturbed = derived @ _rot((0.6, 0.0, 0.8), 2.0 * math.sqrt(2.0) * 1e-6)
+    assert dist_matrix(perturbed, derived) == pytest.approx(1e-6, rel=1e-3)
+    for carried, reevals in ((rounded, 0), (perturbed, 1)):
+        stats = Counter()
+        _gc_step(carried, form, carried, 0, SkConfig(db12), stats, [0, 0])
+        assert stats["exact_reevals"] == reevals
 
 
 def test_sk_structural_invariants(db12):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcanon.unitary import (GATES, ExactUnitary, abs_trace, abs_trace_sq,
-                            adjoint_action, bloch_axis, dist, from_word,
-                            gate_matrix, mat_omega, psu2_equal, su2_quaternion)
+from qcanon.unitary import (GATES, ExactUnitary, adjoint_action, bloch_axis,
+                            dist, from_word, gate_matrix, mat_omega, psu2_equal,
+                            su2_quaternion)
 
 _H = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 _T = np.diag([1.0, np.exp(1j * math.pi / 4)])
@@ -69,15 +69,15 @@ def test_phase_invariance(w, j):
         shifted = ExactUnitary(mat_omega(shifted.m), shifted.k)
     assert psu2_equal(u, shifted)
     assert u.key() == shifted.key()
-    assert abs_trace_sq(u) == abs_trace_sq(shifted)
+    assert u.trace_abs_sq() == shifted.trace_abs_sq()
 
 
 @given(words)
 def test_trace_helpers_agree(w):
     u = from_word(w)
     tr = abs(np.trace(u.to_matrix()))
-    assert abs(abs_trace(u) - tr) < 1e-10
-    assert abs(float(abs_trace_sq(u)) - tr * tr) < 1e-9
+    assert abs(u.trace_abs() - tr) < 1e-10
+    assert abs(float(u.trace_abs_sq()) - tr * tr) < 1e-9
 
 
 def test_dist_examples():
