@@ -147,7 +147,7 @@ def _cmd_canonicalize(args) -> int:
 def _cmd_approx(args) -> int:
     db = load(_require_db(args))
     mat = _target_matrix(args)
-    res = approximate(ApproxQuery(mat, args.eps), db, method=args.method)
+    res = approximate(ApproxQuery(mat, args.eps), db)
     out = {
         "found": res.found,
         "gates": res.circuit.to_word() if res.found else None,
@@ -307,7 +307,6 @@ def _parser() -> argparse.ArgumentParser:
     a = sub.add_parser("approx", help="minimum-T-count epsilon approximation")
     a.add_argument("--eps", type=float, required=True)
     a.add_argument("--db")
-    a.add_argument("--method", choices=("geometric", "linear"), default="geometric")
     _add_target_args(a)
     a.set_defaults(func=_cmd_approx)
 

@@ -1,30 +1,30 @@
 """Minimum-T-count approximation queries against a catalog.
 
-A query unitary U is compared with every catalog entry c through the up
-to 576 Clifford-dressed targets Ad_g[U h]; a hit at distance d
-reassembles to g^-1 . c . (g h^-1) at the same distance.  Buckets are
-preselected through the trace window |key - |tr|| < 4 eps; inside the
-window the distance condition is converted per entry to an exact angular
-cone around the target axis (or its antipode), and only entries whose
-tile, nearest arc or nearest corner meets the cone are evaluated.  The
-dressed targets of one h share their trace, so each such group makes one
-window call and one cone selection over all of its axes at once.  Every
-scan reads the catalog's own entry columns (c1, s1, axis, T-count, tile
-ids) over the bucket range the window selects.  A plain linear scan with
-the identical predicate and tie-break is kept as a cross-check oracle.
+A query unitary U is compared with every catalog entry c through its 576
+Clifford-dressed targets Ad_g[U h], held as one array with one row
+(c, s, axis) per pair (h, g); a hit at distance d reassembles to
+g^-1 . c . (g h^-1) at the same distance.  Rows that coincide for a
+symmetric target are kept: they tie exactly and lose on (h, g).
+
+One scan serves `approximate` (T-count first) and `nearest` (distance
+first).  The 24 rows of one h share their trace, so each h makes one
+trace-window call |key - |tr|| < 4 eps and one cone selection over its
+24 axes: the distance condition becomes an exact angular cone around
+each axis (or its antipode), and only entries whose tile, nearest arc or
+nearest corner meets the cone are evaluated.  `nearest` seeds its radius
+from the nearest-key buckets and then makes one scan at that radius.  A
+plain linear scan of every entry against every row, with the identical
+predicate and tie-break, is kept as a cross-check oracle.
 
 All query arithmetic is double precision; exactness lives on the catalog
 side.  Squared distances below 1e-13 snap to zero so that exact members
 survive arbitrarily tight epsilons (the overlap value carries ~1e-15 of
 arithmetic noise, which the square root would otherwise blow up to 1e-8).
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -72,50 +72,24 @@ def dist_matrix(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(max(0.0, (2.0 - t) / 2.0))
 
 
-class _Pair:
-    """One deduplicated coset target Ad_g[U h]."""
+def coset_targets(mat: np.ndarray) -> np.ndarray:
+    """The 576 dressed targets Ad_g[U h], one row (c, s, axis) each.
 
-    __slots__ = ("h", "g", "c", "s", "axis", "trace")
-
-    def __init__(self, h, g, c, s, axis):
-        self.h = h
-        self.g = g
-        self.c = c
-        self.s = s
-        self.axis = axis
-        self.trace = 2.0 * c
-
-
-def coset_targets(mat: np.ndarray) -> list[_Pair]:
-    """The up-to-576 dressed targets, deduplicated by projective equality."""
-    pairs = []
-    seen = set()
+    Row 24 h + g holds the target of Clifford h and rotation g; the 24
+    rows of one h share c and s.  ROT_F are signed permutations, so the
+    rotated axes are exact copies of the per-h axis components.
+    """
+    rows = np.empty((24, 24, 5))
+    axes = np.empty((24, 3))
     for h in range(24):
         q = su2_quaternion(mat @ _CLIFF_MATS[h])
-        c = abs(float(q[0]))
         v = q[1:]
         s = float(np.linalg.norm(v))
-        axis = v / s if s > 1e-15 else np.array([0.0, 0.0, 1.0])
-        for g in range(24):
-            ra = ROT_F[g] @ axis
-            sv = s * ra
-            if c < 1e-9:
-                for x in sv:
-                    if abs(x) > 1e-9:
-                        if x < 0:
-                            sv = -sv
-                        break
-            key = (round(c, 6), round(sv[0], 6), round(sv[1], 6), round(sv[2], 6))
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append(_Pair(h, g, c, s, ra))
-    return pairs
-
-
-def _h_groups(pairs: list[_Pair]) -> list[list[_Pair]]:
-    """Runs of dressed targets with one h: they share c, s and the trace."""
-    return [list(run) for _, run in groupby(pairs, key=attrgetter("h"))]
+        rows[h, :, 0] = abs(float(q[0]))
+        rows[h, :, 1] = s
+        axes[h] = v / s if s > 1e-15 else (0.0, 0.0, 1.0)
+    rows[:, :, 2:] = np.einsum("gij,hj->hgi", ROT_F, axes)
+    return rows.reshape(576, 5)
 
 
 def _branch_select(db: Catalog, s, e, axes: np.ndarray, x) -> np.ndarray:
@@ -137,21 +111,21 @@ def _branch_select(db: Catalog, s, e, axes: np.ndarray, x) -> np.ndarray:
     return feas & ((alpha >= math.pi / 2) | near)
 
 
-def _cone_candidates(db: Catalog, s, e, group: list[_Pair],
+def _cone_candidates(db: Catalog, s, e, rows: np.ndarray,
                      epsilon: float) -> list[np.ndarray]:
-    """Global entry ids of [s, e) passing the cone selection, per pair of
+    """Global entry ids of [s, e) passing the cone selection, per row of
     one h group."""
     c1 = db.c1[s:e]
-    ss = db.s1[s:e] * group[0].s
-    cc = c1 * group[0].c
+    ss = db.s1[s:e] * rows[0, 1]
+    cc = c1 * rows[0, 0]
     thr = 1.0 - epsilon * epsilon
     degenerate = ss < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         x_pri = (thr - cc) / ss
         x_ant = (thr + cc) / ss
-    sel = np.zeros((len(group), e - s), dtype=bool)
+    sel = np.zeros((len(rows), e - s), dtype=bool)
     if not degenerate.all():
-        axes = np.array([pair.axis for pair in group])
+        axes = rows[:, 2:]
         sel = _branch_select(db, s, e, axes, x_pri)
         if (x_ant <= 1.0 + 1e-12).any():
             sel |= _branch_select(db, s, e, -axes, x_ant)
@@ -160,54 +134,79 @@ def _cone_candidates(db: Catalog, s, e, group: list[_Pair],
     return [s + np.flatnonzero(row) for row in sel]
 
 
-def _eval_ids(db: Catalog, ids, pair: _Pair) -> np.ndarray:
+def _eval_ids(db: Catalog, ids, row: np.ndarray) -> np.ndarray:
     """Distances of the selected entries to one dressed target."""
-    dots = db.axes[ids] @ pair.axis
-    vals = np.abs(db.c1[ids] * pair.c + (db.s1[ids] * pair.s) * dots)
+    dots = db.axes[ids] @ row[2:]
+    vals = np.abs(db.c1[ids] * row[0] + (db.s1[ids] * row[1]) * dots)
     dsq = np.maximum(0.0, 1.0 - vals)
     dsq[dsq < _SNAP] = 0.0
     return np.sqrt(dsq)
 
 
 class _Best:
-    """Running argmin; key order (t, d, bits, h, g) or (d, t, bits, h, g)."""
+    """Running argmin; key order (t, d, bits, k) or (d, t, bits, k), where
+    k = 24 h + g is the dressed target's row."""
 
-    __slots__ = ("dist_first", "t", "d", "bits", "h", "g")
+    __slots__ = ("dist_first", "t", "d", "bits", "k")
 
     def __init__(self, dist_first: bool):
         self.dist_first = dist_first
         self.t = None
         self.d = math.inf
         self.bits = None
-        self.h = None
-        self.g = None
+        self.k = None
 
-    def _key(self, t, d, bits, h, g):
-        return (d, t, bits, h, g) if self.dist_first else (t, d, bits, h, g)
+    def _key(self, t, d, bits, k):
+        return (d, t, bits, k) if self.dist_first else (t, d, bits, k)
 
-    def offer(self, db: Catalog, ids, d, pair: _Pair):
+    def offer(self, db: Catalog, ids, row: np.ndarray, k: int, epsilon: float):
+        """Offer the entries ids closer than epsilon to dressed target k."""
+        if len(ids) == 0:
+            return
+        d = _eval_ids(db, ids, row)
+        ok = d < epsilon
+        ids, d = ids[ok], d[ok]
         if len(ids) == 0:
             return
         t = db.t[ids]
-        k = np.lexsort((d, t) if not self.dist_first else (t, d))[0]
-        tb, db_ = int(t[k]), float(d[k])
+        j = np.lexsort((d, t) if not self.dist_first else (t, d))[0]
+        tb, db_ = int(t[j]), float(d[j])
         if self.t is not None:
-            cur = self._key(self.t, self.d, (), 0, 0)[:2]
-            if self._key(tb, db_, (), 0, 0)[:2] > cur:
+            cur = self._key(self.t, self.d, (), 0)[:2]
+            if self._key(tb, db_, (), 0)[:2] > cur:
                 return
         # resolve exact ties on the numeric part by block bits
         tie = np.flatnonzero((d == db_) & (t == tb))
-        bits = min(db.entry_bits(int(ids[j])) for j in tie)
-        if self.t is None or self._key(tb, db_, bits, pair.h, pair.g) < \
-                self._key(self.t, self.d, self.bits, self.h, self.g):
-            self.t, self.d, self.bits = tb, db_, bits
-            self.h, self.g = pair.h, pair.g
+        bits = min(db.entry_bits(int(ids[i])) for i in tie)
+        if self.t is None or self._key(tb, db_, bits, k) < \
+                self._key(self.t, self.d, self.bits, self.k):
+            self.t, self.d, self.bits, self.k = tb, db_, bits, k
+
+
+def _scan(db: Catalog, targets: np.ndarray, epsilon: float,
+          dist_first: bool) -> _Best:
+    """Best entry closer than epsilon to any dressed target.
+
+    The 24 rows of one h share their trace, so each h makes one window
+    call and one cone selection over all of its axes; every selected
+    entry is then evaluated against its own row.
+    """
+    best = _Best(dist_first)
+    for h in range(24):
+        rows = targets[24 * h:24 * h + 24]
+        win = db.window(2.0 * rows[0, 0], 4.0 * epsilon + DELTA_BUCKET)
+        if len(win) == 0:
+            continue
+        s, e = int(db.starts[win.start]), int(db.starts[win.stop])
+        for g, ids in enumerate(_cone_candidates(db, s, e, rows, epsilon)):
+            best.offer(db, ids, rows[g], 24 * h + g, epsilon)
+    return best
 
 
 def _finish(best: _Best, mat: np.ndarray) -> ApproxResult:
     if best.t is None:
         return ApproxResult(None, None, None, False)
-    g, h = best.g, best.h
+    h, g = divmod(best.k, 24)
     circuit = CosetForm(INV[g], best.bits, MULT[g][INV[h]])
     final = dist_matrix(circuit.to_unitary().to_matrix(), mat)
     # squared distances are linear in the trace, so they compare cleanly;
@@ -227,62 +226,34 @@ def approximate(q: ApproxQuery, db: Catalog, method: str = "geometric") -> Appro
         raise ValueError("epsilon must be in (0, 1]")
     if method not in ("geometric", "linear"):
         raise ValueError(f"unknown method {method!r}")
-    geometric = method == "geometric"
     mat = as_matrix(q.target)
-    eps = q.epsilon
+    targets = coset_targets(mat)
+    if method == "geometric":
+        return _finish(_scan(db, targets, q.epsilon, dist_first=False), mat)
     best = _Best(dist_first=False)
-    for group in _h_groups(coset_targets(mat)):
-        if geometric:
-            win = db.window(group[0].trace, 4.0 * eps + DELTA_BUCKET)
-            if len(win) == 0:
-                continue
-            s, e = int(db.starts[win.start]), int(db.starts[win.stop])
-            candidates = _cone_candidates(db, s, e, group, eps)
-        else:
-            candidates = [np.arange(db.entry_count())] * len(group)
-        for pair, ids in zip(group, candidates):
-            if len(ids) == 0:
-                continue
-            d = _eval_ids(db, ids, pair)
-            ok = d < eps
-            best.offer(db, ids[ok], d[ok], pair)
+    ids = np.arange(db.entry_count())
+    for k, row in enumerate(targets):
+        best.offer(db, ids, row, k, q.epsilon)
     return _finish(best, mat)
 
 
 def nearest(target, db: Catalog) -> ApproxResult:
     """Global minimum-distance entry, no epsilon cap (distance-first order)."""
     mat = as_matrix(target)
-    groups = _h_groups(coset_targets(mat))
-    best = _Best(dist_first=True)
-
-    # seed: the nearest-key bucket per pair, scanned linearly
+    targets = coset_targets(mat)
+    # seed: the nearest-key buckets of each h, scanned linearly
+    seed = math.inf
     nb = len(db.keys)
-    for group in groups:
-        lo = int(np.searchsorted(db.keys, group[0].trace))
-        s = int(db.starts[max(0, lo - 1)])
-        e = int(db.starts[min(nb, lo + 1)])
-        if s < e:
-            ids = np.arange(s, e)
-            for pair in group:
-                best.offer(db, ids, _eval_ids(db, ids, pair), pair)
-
-    # sweep until the trace window at the current best stabilizes
-    for _ in range(64):
-        eps_now = min(1.0, best.d * (1 + 1e-12) + 1e-15)
-        improved = False
-        for group in groups:
-            win = db.window(group[0].trace, 4.0 * eps_now + DELTA_BUCKET)
-            if len(win) == 0:
-                continue
-            s, e = int(db.starts[win.start]), int(db.starts[win.stop])
-            for pair, ids in zip(group, _cone_candidates(db, s, e, group, eps_now)):
-                if len(ids) == 0:
-                    continue
-                d = _eval_ids(db, ids, pair)
-                before = (best.d, best.t, best.bits, best.h, best.g)
-                best.offer(db, ids, d, pair)
-                if (best.d, best.t, best.bits, best.h, best.g) != before:
-                    improved = True
-        if not improved:
-            break
-    return _finish(best, mat)
+    for h in range(24):
+        rows = targets[24 * h:24 * h + 24]
+        lo = int(np.searchsorted(db.keys, 2.0 * rows[0, 0]))
+        ids = np.arange(int(db.starts[max(0, lo - 1)]), int(db.starts[min(nb, lo + 1)]))
+        for row in rows:
+            seed = min(seed, float(_eval_ids(db, ids, row).min()))
+    # The window and the cones never drop an entry closer than their
+    # radius (criterion 08 checks them against the linear scan), so one
+    # scan just past the seed's distance sees every entry at least as near.
+    # The margin, 1e-12 in squared distance, covers the last-bit rounding
+    # of one distance evaluated over different id sets.
+    eps = min(1.0, math.sqrt(seed * seed + 1e-12))
+    return _finish(_scan(db, targets, eps, dist_first=True), mat)

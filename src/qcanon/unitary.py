@@ -139,9 +139,6 @@ class ExactUnitary:
         p, q = scalar_abs_sq(t)
         return Real2(p, q, 2 * self.k)
 
-    def trace_abs(self) -> float:
-        return math.sqrt(max(0.0, float(self.trace_abs_sq())))
-
     def to_matrix(self) -> np.ndarray:
         out = np.empty((2, 2), dtype=complex)
         s = SQRT2 ** self.k

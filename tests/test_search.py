@@ -3,10 +3,11 @@ import pytest
 
 from qcanon.catalog import CatalogError, build, enumerate_canonical, load
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS
+from qcanon.geometry import ROT_F
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
 from qcanon.search import (ApproxQuery, ApproxResult, approximate, as_matrix,
                            coset_targets, dist_matrix, nearest)
-from qcanon.unitary import GATES, dist, from_word
+from qcanon.unitary import GATES, dist, from_word, su2_quaternion
 
 
 def haar_targets(seed, n):
@@ -52,19 +53,32 @@ def test_approximate_rejects_bad_args(db6):
 
 # -- coset targets ------------------------------------------------------------
 
-def test_coset_targets_count_and_dedup():
-    pairs = coset_targets(as_matrix(haar_targets(0, 1)[0]))
-    assert len(pairs) == 576
-    quats = {(round(p.c, 9), round(p.s, 9), tuple(np.round(p.axis * p.s, 9)))
-             for p in pairs}
-    assert len(quats) == len(pairs)
+def test_coset_targets_rows():
+    mat = as_matrix(haar_targets(0, 1)[0])
+    rows = coset_targets(mat)
+    assert rows.shape == (576, 5)
+    for h in range(24):
+        q = su2_quaternion(mat @ CLIFFORD[h].to_matrix())
+        s = np.linalg.norm(q[1:])
+        for g in range(24):
+            c, s_g, *axis = rows[24 * h + g]
+            assert c == abs(q[0]) and s_g == s
+            assert np.array_equal(axis, ROT_F[g] @ (q[1:] / s))
+    # a generic target has 576 projectively distinct dressings
+    quats = {(round(c, 9), round(s, 9), tuple(np.round(s * np.array(axis), 9)))
+             for c, s, *axis in rows}
+    assert len(quats) == 576
 
 
-def test_coset_targets_collapse_for_symmetric_target():
-    # g . I . h sweeps the group itself: 24 projective classes
-    assert len(coset_targets(np.eye(2))) == 24
-    # T is stabilized by the dihedral group of its axis (order 8): 576 / 8
-    assert len(coset_targets(as_matrix(GATES["T"]))) == 72
+def test_symmetric_targets_found_at_distance_zero(db6):
+    # the dressings of I, T and g T h coincide in groups of 24 or 8;
+    # duplicate rows must tie, not change the answer
+    dressed_t = from_word(CLIFFORD_WORDS[9] + "T" + CLIFFORD_WORDS[14])
+    for u, t in ((GATES["I"], 0), (GATES["T"], 1), (dressed_t, 1)):
+        for res in (approximate(ApproxQuery(u, 1e-9), db6), nearest(u, db6)):
+            assert res.found
+            assert res.achieved_dist == 0.0
+            assert res.t_count == t
 
 
 # -- membership lookups ------------------------------------------------------
@@ -148,16 +162,17 @@ def test_nearest_matches_exhaustive_scan(db6):
         assert res.achieved_dist == pytest.approx(best, abs=1e-9)
 
 
-def test_nearest_matches_dense_minimum(db12):
+def test_nearest_matches_dense_minimum(db12, db16):
     # every entry against every dressed target, with no tile pruning
-    for target in haar_targets(51, 8):
-        best_sq = np.inf
-        for pair in coset_targets(as_matrix(target)):
-            dots = db12.axes @ pair.axis
-            vals = np.abs(db12.c1 * pair.c + (db12.s1 * pair.s) * dots)
-            best_sq = min(best_sq, float(np.maximum(0.0, 1.0 - vals).min()))
-        res = nearest(target, db12)
-        assert res.achieved_dist == pytest.approx(np.sqrt(best_sq), abs=1e-12)
+    for db in (db12, db16):
+        for target in haar_targets(51, 8):
+            best_sq = np.inf
+            for c, s, *axis in coset_targets(as_matrix(target)):
+                dots = db.axes @ np.array(axis)
+                vals = np.abs(db.c1 * c + (db.s1 * s) * dots)
+                best_sq = min(best_sq, float(np.maximum(0.0, 1.0 - vals).min()))
+            res = nearest(target, db)
+            assert res.achieved_dist == pytest.approx(np.sqrt(best_sq), abs=1e-12)
 
 
 def test_nearest_prefers_distance_over_t(db6):
