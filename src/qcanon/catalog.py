@@ -1,5 +1,11 @@
 """Catalog of canonical circuits up to a T-count bound.
 
+Canonical block strings are prefix-closed: a string of T-count t is one of
+T-count t - 1 followed by one block, TH or (past t = 4) SHTH.  `build`
+therefore makes the catalog layer by layer, each entry one exact product
+of its parent's unitary with its last block, and holds only the previous
+layer's unitaries.
+
 The catalog is one set of entry columns in bucket order.  A bucket holds
 every entry of one exact |trace|^2 ring value; buckets are sorted by their
 double |trace| key, and bucket b owns entries starts[b]:starts[b + 1].
@@ -25,19 +31,18 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .geometry import assign_bins
-from .rewrite import pack_bits, unpack_bits
+from .rewrite import unpack_bits
 from .ring import Real2
-from .unitary import ExactUnitary, GATES, su2_quaternion
+from .unitary import GATES, su2_quaternion
 
 MAGIC = b"QCAN"
 VERSION = 2
 DELTA_BUCKET = 1e-10
-DEFAULT_MAX_TCOUNT = 26
+DEFAULT_MAX_TCOUNT = 24  # largest t_max built: 66-69 s, 458 MB max RSS on 2 cores
 _AXIS_NORM_TOL = 1e-9
 
 _FOUR = Real2.from_int(4)
@@ -78,42 +83,6 @@ def enumerate_canonical(t_max: int):
 _TH = GATES["T"] * GATES["H"]
 _SHTH = GATES["S"] * GATES["H"] * _TH
 _BLOCK = (_TH, _SHTH)
-
-
-def _iter_exact(t: int, prefix_u: ExactUnitary, free: int):
-    """DFS over free suffix bits, yielding (suffix_bits, product) in lex order."""
-    if free == 0:
-        yield (), prefix_u
-        return
-    for b in (0, 1):
-        for suffix, u in _iter_exact(t, prefix_u * _BLOCK[b], free - 1):
-            yield (b,) + suffix, u
-
-
-def _entry_of(bits: tuple[int, ...], u: ExactUnitary):
-    tsq = u.trace_abs_sq()
-    trace = math.sqrt(max(0.0, float(tsq)))
-    if tsq == _FOUR:
-        axis = (0.0, 0.0, 1.0)  # placeholder; the identity level has no axis
-    else:
-        q = su2_quaternion(u.to_matrix())
-        s = math.sqrt(max(1e-300, float(q[1] ** 2 + q[2] ** 2 + q[3] ** 2)))
-        axis = (q[1] / s, q[2] / s, q[3] / s)
-    return tsq.key(), trace, axis
-
-
-def _entries_for_prefix(args):
-    """Worker task: all entries below one (t, fixed-prefix) subtree."""
-    t, head_bits = args
-    u = GATES["I"]
-    for b in head_bits:
-        u = u * _BLOCK[b]
-    out = []
-    for suffix, prod in _iter_exact(t, u, t - len(head_bits)):
-        bits = head_bits + suffix
-        key, trace, axis = _entry_of(bits, prod)
-        out.append((t, bits, key, trace, axis))
-    return out
 
 
 class Catalog:
@@ -170,11 +139,14 @@ class Catalog:
         return range(lo, hi)
 
 
-def build(t_max: int, workers: int = 1) -> Catalog:
-    """Enumerate, evaluate exactly, and index every canonical circuit.
+def build(t_max: int) -> Catalog:
+    """Evaluate every canonical circuit exactly, layer by layer, and index it.
 
-    Deterministic for any worker count: entries are merged in
-    (t_count, bit-value) order before bucketing.
+    Canonical block strings are prefix-closed, so layer t is layer t - 1
+    right-multiplied by TH and, past t = 4, by SHTH: one exact product per
+    entry, the new block's bit at position t - 1.  Layers come out in
+    (t_count, bit-value) order; buckets group entries by exact |trace|^2,
+    keep that order inside each bucket and are sorted stably by |trace|.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -182,45 +154,48 @@ def build(t_max: int, workers: int = 1) -> Catalog:
         raise ValueError(
             f"t_max {t_max} above the memory budget ({DEFAULT_MAX_TCOUNT})"
         )
-    rows = []
-    small, jobs = [], []
-    for t in range(0, min(t_max, 4) + 1):
-        small.append((t, (0,) * t))
-    split = max(0, min(4, t_max - 12)) if workers > 1 else 0
-    for t in range(5, t_max + 1):
-        free = t - 4
-        head = min(split, free)
-        for v in range(1 << head):
-            prefix = (0, 0, 0, 0) + tuple((v >> (head - 1 - i)) & 1 for i in range(head))
-            jobs.append((t, prefix))
-    if workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_entries_for_prefix, jobs, chunksize=4):
-                rows.extend(chunk)
-    else:
-        for job in jobs:
-            rows.extend(_entries_for_prefix(job))
-    for job in small:
-        rows.extend(_entries_for_prefix(job))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return _bucketize(rows, t_max)
-
-
-def _bucketize(rows, t_max: int) -> Catalog:
-    by_class: dict[tuple, list] = {}
-    for row in rows:
-        by_class.setdefault(row[2], []).append(row)
-    classes = sorted(by_class.values(), key=lambda cls: cls[0][3])
-    entries = [r for cls in classes for r in cls]
+    n = canonical_count(t_max)
+    sizes = [canonical_count(t) - canonical_count(t - 1) for t in range(t_max + 1)]
+    bits = np.empty(n, dtype=np.uint32)
+    traces = np.empty(n)
+    axes = np.empty((n, 3))
+    bucket_of = np.empty(n, dtype=np.intp)
+    index: dict[tuple, int] = {}  # exact key -> bucket, in first-seen order
+    firsts = []  # each bucket's |trace| key
+    layer, i = [(0, GATES["I"])], 0
+    for t in range(t_max + 1):
+        if t:
+            blocks = tuple(enumerate(_BLOCK if t > 4 else _BLOCK[:1]))
+            step = ((v | b << (t - 1), u * block) for v, u in layer for b, block in blocks)
+            # the last layer is walked once and never held
+            layer = step if t == t_max else list(step)
+        for v, u in layer:
+            tsq = u.trace_abs_sq()
+            trace = math.sqrt(max(0.0, float(tsq)))
+            if tsq == _FOUR:
+                axes[i] = (0.0, 0.0, 1.0)  # placeholder; the identity level has no axis
+            else:
+                q = su2_quaternion(u.to_matrix())
+                s = math.sqrt(max(1e-300, float(q[1] ** 2 + q[2] ** 2 + q[3] ** 2)))
+                axes[i] = (q[1] / s, q[2] / s, q[3] / s)
+            k = index.setdefault(tsq.key(), len(firsts))
+            if k == len(firsts):
+                firsts.append(trace)
+            bits[i], traces[i], bucket_of[i] = v, trace, k
+            i += 1
+    # two exact keys on one float key leave equal adjacent bucket keys,
+    # which Catalog rejects
+    keys = np.asarray(firsts)
+    order = np.argsort(keys, kind="stable")
+    perm = np.argsort(keys[bucket_of], kind="stable")
     return Catalog(
         t_max,
-        keys=np.array([cls[0][3] for cls in classes]),
-        starts=np.cumsum([0] + [len(cls) for cls in classes]),
-        t=np.array([r[0] for r in entries], dtype=np.uint8),
-        bits=np.array([int.from_bytes(pack_bits(r[1]), "little") for r in entries],
-                      dtype=np.uint32),
-        traces=np.array([r[3] for r in entries]),
-        axes=np.array([r[4] for r in entries]).reshape(-1, 3),
+        keys=keys[order],
+        starts=np.concatenate(([0], np.cumsum(np.bincount(bucket_of)[order]))),
+        t=np.repeat(np.arange(t_max + 1, dtype=np.uint8), sizes)[perm],
+        bits=bits[perm],
+        traces=traces[perm],
+        axes=axes[perm],
     )
 
 

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import oracle
 from .catalog import CatalogError, DEFAULT_MAX_TCOUNT, build, canonical_count, load, save
 from .rewrite import canonicalize_word, normalize_word
 from .search import ApproxQuery, approximate, as_matrix, nearest
@@ -93,8 +92,7 @@ def _target_matrix(args) -> np.ndarray:
 # subcommands
 
 def _cmd_build(args) -> int:
-    workers = args.threads or os.cpu_count() or 1
-    cat = build(args.max_tcount, workers=workers)
+    cat = build(args.max_tcount)
     save(cat, args.out)
     size = os.path.getsize(args.out)
     print(f"t_max {cat.max_tcount}: {cat.entry_count()} circuits in "
@@ -223,6 +221,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle  # brings in scipy; no other command needs it
+
     suite = args.suite
     ok = True
     report: dict = {"suite": suite}
@@ -294,8 +294,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--max-tcount", type=int, required=True,
                    help=f"T-count bound (<= {DEFAULT_MAX_TCOUNT})")
     b.add_argument("--out", required=True)
-    b.add_argument("--threads", type=int, default=0,
-                   help="build workers; 0 = all cores")
     b.set_defaults(func=_cmd_build)
 
     for name, fn in (("normalize", _cmd_normalize), ("canonicalize", _cmd_canonicalize)):

@@ -87,23 +87,3 @@ for _g in range(24):
             f"commutation row G{_g}: computed {COMM[_g]}, "
             f"reference {_COMM_EXPECTED[_g]}"
         )
-
-
-def commute_through_T(g: int) -> tuple[int, int]:
-    """(kind, residual) with g T = prefix(kind) T residual.
-
-    The identity needs no rewriting and is rejected.
-    """
-    if g == G_I:
-        raise ValueError("identity commutes trivially; no rule")
-    return COMM[g]
-
-
-def classify(u: ExactUnitary) -> int | None:
-    """Alias of clifford_index with the membership-test reading."""
-    return clifford_index(u)
-
-
-def build_tables():
-    """The three tables as one tuple (kept for callers that want them together)."""
-    return MULT, INV, COMM

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .catalog import enumerate_canonical
 from .clifford import CLIFFORD, G_H
@@ -132,7 +131,7 @@ def _quats_batch(mats: np.ndarray) -> np.ndarray:
 @dataclass
 class _LayerNum:
     quats: np.ndarray  # (2n, 4), both signs, so queries need no sign fix
-    tree: cKDTree
+    tree: object  # scipy.spatial.cKDTree
     inv_mats: np.ndarray  # (n, 2, 2)
 
 
@@ -142,6 +141,8 @@ _LAYER_NUM: dict[int, _LayerNum] = {}
 def _layer_numeric(t: int) -> _LayerNum:
     ln = _LAYER_NUM.get(t)
     if ln is None:
+        from scipy.spatial import cKDTree  # kept off the import path of qcanon
+
         layer = bfs_layers(t)[t]
         mats = np.stack([u.to_matrix() for u in layer.values()])
         q = _quats_batch(mats)

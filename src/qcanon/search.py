@@ -241,15 +241,20 @@ def nearest(target, db: Catalog) -> ApproxResult:
     """Global minimum-distance entry, no epsilon cap (distance-first order)."""
     mat = as_matrix(target)
     targets = coset_targets(mat)
-    # seed: the nearest-key buckets of each h, scanned linearly
-    seed = math.inf
+    # seed: the nearest-key buckets of each h against its 24 rows at once,
+    # an elementwise dot (a 2-D BLAS product holds more memory at its peak)
+    overlap = 0.0
     nb = len(db.keys)
     for h in range(24):
         rows = targets[24 * h:24 * h + 24]
         lo = int(np.searchsorted(db.keys, 2.0 * rows[0, 0]))
-        ids = np.arange(int(db.starts[max(0, lo - 1)]), int(db.starts[min(nb, lo + 1)]))
-        for row in rows:
-            seed = min(seed, float(_eval_ids(db, ids, row).min()))
+        s, e = int(db.starts[max(0, lo - 1)]), int(db.starts[min(nb, lo + 1)])
+        ax = db.axes[s:e]
+        dots = ax[:, :1] * rows[:, 2] + ax[:, 1:2] * rows[:, 3] + ax[:, 2:] * rows[:, 4]
+        vals = np.abs(db.c1[s:e, None] * rows[0, 0] + (db.s1[s:e, None] * rows[0, 1]) * dots)
+        overlap = max(overlap, float(vals.max()))
+    dsq = max(0.0, 1.0 - overlap)
+    seed = 0.0 if dsq < _SNAP else math.sqrt(dsq)
     # The window and the cones never drop an entry closer than their
     # radius (criterion 08 checks them against the linear scan), so one
     # scan just past the seed's distance sees every entry at least as near.

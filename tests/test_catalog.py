@@ -1,12 +1,15 @@
+import hashlib
 import struct
+import time
 import zlib
 
 import numpy as np
 import pytest
 
-from qcanon.catalog import (DELTA_BUCKET, CatalogError, build, canonical_count,
-                            enumerate_canonical, load, save)
+from qcanon.catalog import (DEFAULT_MAX_TCOUNT, DELTA_BUCKET, CatalogError, build,
+                            canonical_count, enumerate_canonical, load, save)
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
+from qcanon.unitary import su2_quaternion
 
 
 # -- counting and enumeration -------------------------------------------------
@@ -95,11 +98,41 @@ def test_identity_bucket_exists(db12):
     assert np.any(db12.keys >= 2.0 - DELTA_BUCKET)
 
 
-def test_build_deterministic_across_workers(tmp_path):
-    a, b = tmp_path / "a.qcat", tmp_path / "b.qcat"
-    save(build(7, workers=1), a)
-    save(build(7, workers=2), b)
-    assert a.read_bytes() == b.read_bytes()
+def test_build_matches_per_entry_oracle(db12):
+    # every entry against its own exact product, in enumeration order
+    order = {bits: i for i, bits in enumerate(enumerate_canonical(12))}
+    seen = []
+    for b in range(len(db12.keys)):
+        ids = range(int(db12.starts[b]), int(db12.starts[b + 1]))
+        bits = [db12.entry_bits(i) for i in ids]
+        pos = [order[x] for x in bits]
+        assert pos == sorted(pos)
+        seen += pos
+        units = [tokens_to_unitary(blocks_tokens(x)) for x in bits]
+        assert len({u.trace_abs_sq().key() for u in units}) == 1
+        for i, x, u in zip(ids, bits, units):
+            assert len(x) == db12.t[i]
+            if db12.keys[b] >= 2.0 - DELTA_BUCKET:
+                # the identity level has no axis, only a placeholder
+                assert tuple(db12.axes[i]) == (0.0, 0.0, 1.0)
+                continue
+            v = su2_quaternion(u.to_matrix())[1:]
+            assert np.abs(db12.axes[i] - v / np.linalg.norm(v)).max() <= 1e-15
+    assert sorted(seen) == list(range(canonical_count(12)))
+
+
+def test_build_bytes_pinned(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(12), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "1fbbf89488d6399a15e0873e8849e58264e9e05c020aaa42dd01ab03dd01dd9b")
+
+
+def test_build_rejects_tmax_above_default_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="memory budget"):
+        build(DEFAULT_MAX_TCOUNT + 1)
+    assert time.perf_counter() - start < 1.0  # a build would take minutes
 
 
 # -- serialization ---------------------------------------------------------------

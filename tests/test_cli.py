@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcanon
 from qcanon.catalog import build, save
 from qcanon.cli import main
 from qcanon.rewrite import normalize_word
@@ -210,3 +215,15 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_no_args_is_usage(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_leaves_scipy_out():
+    # only `verify` needs the oracle, and with it scipy
+    src = str(Path(qcanon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, qcanon.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

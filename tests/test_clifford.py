@@ -1,11 +1,9 @@
 import itertools
 
-import pytest
 from hypothesis import given, strategies as st
 
 from qcanon.clifford import (CLIFFORD, CLIFFORD_WORDS, COMM, G_H, G_I, G_S,
-                             G_SH, G_X, G_Z, INV, MULT, build_tables, classify,
-                             commute_through_T)
+                             G_SH, G_X, G_Z, INV, MULT, clifford_index)
 from qcanon.unitary import GATES, from_word, psu2_equal
 
 idx = st.integers(0, 23)
@@ -54,16 +52,11 @@ def test_identity_row_and_column():
 
 def test_classify_round_trip():
     for g in range(24):
-        assert classify(CLIFFORD[g]) == g
+        assert clifford_index(CLIFFORD[g]) == g
 
 
 def test_classify_non_clifford_is_none():
-    assert classify(GATES["T"]) is None
-
-
-def test_build_tables_returns_the_tables():
-    m, i, c = build_tables()
-    assert m is MULT and i is INV and c is COMM
+    assert clifford_index(GATES["T"]) is None
 
 
 def test_commutation_rows_exact():
@@ -80,16 +73,6 @@ def test_commutation_rows_exact():
         lhs = CLIFFORD[g] * t
         rhs = pref[kind] * t * CLIFFORD[gp]
         assert psu2_equal(lhs, rhs), (g, kind, gp)
-
-
-def test_commute_through_T_matches_comm():
-    for g in range(1, 24):
-        assert commute_through_T(g) == COMM[g]
-
-
-def test_commute_through_T_identity_rejected():
-    with pytest.raises(ValueError):
-        commute_through_T(G_I)
 
 
 def test_comm_kinds_partition():
