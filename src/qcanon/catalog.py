@@ -11,8 +11,8 @@ every entry of one exact |trace|^2 ring value; buckets are sorted by their
 double |trace| key, and bucket b owns entries starts[b]:starts[b + 1].
 Per entry there is the T-count, the packed block bits, the stored |trace|,
 the rotation axis, the search's c1 = key / 2 and s1 = sqrt(1 - c1^2), and
-the axis's containing tile, nearest boundary arc and nearest corner, all
-three from one `assign_bins` call over every axis.
+the axis's fold (its sorted absolute coordinates, from one `assign_bins`
+call over every axis), which bounds the search's overlaps.
 
 The file (format version 2) is these columns themselves: a 24-byte
 little-endian header (magic, version, t_max, bucket count, entry count),
@@ -92,8 +92,7 @@ class Catalog:
     entries.  Entry columns: t (T-count), bits (the block bits as packed
     by `pack_bits`, read as a little-endian integer), traces, axes (n, 3),
     c1 and s1 (the cosine and sine of the half rotation angle, from the
-    bucket key), and face/edge/vert (containing tile, nearest arc, nearest
-    corner of the axis).
+    bucket key), and fold (n, 3), the axis's sorted absolute coordinates.
     """
 
     def __init__(self, max_tcount: int, keys: np.ndarray, starts: np.ndarray,
@@ -117,7 +116,7 @@ class Catalog:
             raise CatalogError("stored axis is not a unit vector")
         self.c1 = np.repeat(keys / 2.0, sizes)
         self.s1 = np.sqrt(np.maximum(0.0, 1.0 - self.c1 * self.c1))
-        self.face, self.edge, self.vert = assign_bins(axes)
+        self.fold = assign_bins(axes)
 
     def entry_count(self) -> int:
         return len(self.t)

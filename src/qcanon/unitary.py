@@ -10,8 +10,6 @@ rotations.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .ring import Real2, SQRT2, can_halve, halve, scalar_abs_sq
@@ -159,17 +157,6 @@ def psu2_equal(u: ExactUnitary, v: ExactUnitary) -> bool:
     return Real2(p, q, 2 * (u.k + v.k)) == _FOUR
 
 
-def overlap_abs_sq(u: ExactUnitary, v: ExactUnitary) -> Real2:
-    p, q = scalar_abs_sq(frob_inner(u.m, v.m))
-    return Real2(p, q, 2 * (u.k + v.k))
-
-
-def dist(u: ExactUnitary, v: ExactUnitary) -> float:
-    """Projective operator distance sqrt((2 - |tr(U V-adjoint)|) / 2)."""
-    t = math.sqrt(max(0.0, float(overlap_abs_sq(u, v))))
-    return math.sqrt(max(0.0, (2.0 - t) / 2.0))
-
-
 # Gate matrices.  T = diag(1, w).  H uses the det-1 normalisation with
 # i / sqrt(2) entries (i = w^2), so every word lands in the ring with the
 # denominator tracked by k alone.  S = T^2.
@@ -225,19 +212,6 @@ def su2_quaternion(mat: np.ndarray) -> np.ndarray:
                 break
     n = np.linalg.norm(q)
     return q / n
-
-
-def bloch_axis(u: ExactUnitary) -> tuple[np.ndarray, float]:
-    """Rotation axis (unit 3-vector) and angle in (0, pi] on the sphere.
-
-    The projective identity has every axis and none; it is rejected.
-    """
-    if u.trace_abs_sq() == _FOUR:
-        raise ValueError("no axis")
-    q = su2_quaternion(u.to_matrix())
-    s = np.linalg.norm(q[1:])
-    theta = 2.0 * math.atan2(s, q[0])
-    return q[1:] / s, theta
 
 
 def adjoint_action(u: ExactUnitary) -> np.ndarray:

@@ -217,13 +217,30 @@ def test_no_args_is_usage(capsys):
         main([])
 
 
-def test_cli_import_leaves_scipy_out():
-    # only `verify` needs the oracle, and with it scipy
+def scipy_modules_after(code: str) -> str:
+    """Run code in a fresh interpreter; print the scipy modules it loaded."""
     src = str(Path(qcanon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, qcanon.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    # only `verify` needs the oracle, and with it scipy
+    assert scipy_modules_after("import qcanon.cli") == "[]"
+
+
+def test_queries_leave_scipy_out(tmp_path):
+    # scipy's import time would land on every query's set-up
+    path = tmp_path / "t6.qcat"
+    save(build(6), path)
+    assert scipy_modules_after(
+        "from qcanon.catalog import load\n"
+        "from qcanon.search import ApproxQuery, approximate, nearest\n"
+        "from qcanon.unitary import from_word\n"
+        f"db = load({str(path)!r})\n"
+        "u = from_word('THTHSHTH')\n"
+        "assert approximate(ApproxQuery(u, 0.1), db).found\n"
+        "assert nearest(u, db).found") == "[]"

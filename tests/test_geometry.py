@@ -1,11 +1,9 @@
+import itertools
+
 import numpy as np
-import pytest
-from hypothesis import given, strategies as st
 
 from qcanon.clifford import MULT
-from qcanon.geometry import (EDGE_FACE_PAIRS, EDGES, ROT, ROT_F, VERTICES,
-                             assign_bins, edge_distances, face_of, faces_of,
-                             in_f0, tile_of, vertex_distances)
+from qcanon.geometry import ROT, ROT_F, assign_bins
 
 
 def unit_axes(seed, n):
@@ -34,117 +32,53 @@ def test_rotations_follow_mult_table():
             assert np.array_equal(ROT[g] @ ROT[h], ROT[MULT[g][h]])
 
 
-# -- tiles -------------------------------------------------------------------
+# -- the fold ------------------------------------------------------------------
 
-def test_tiles_cover_sphere():
-    axes = unit_axes(7, 4000)
-    faces = faces_of(axes)
-    assert np.all(faces >= 0) and np.all(faces < 24)
-    for a, f in zip(axes[:200], faces[:200]):
-        assert in_f0(ROT_F[f].T @ a)
+# the 48 signed permutation matrices (+ 0.0 clears the negative zeros)
+SIGNED_PERMS = np.array([np.eye(3)[list(p)] * np.array(signs) + 0.0
+                         for p in itertools.permutations(range(3))
+                         for signs in itertools.product((1.0, -1.0), repeat=3)])
 
 
-def test_face_of_matches_vectorized():
-    axes = unit_axes(11, 500)
-    faces = faces_of(axes)
-    for a, f in zip(axes, faces):
-        assert face_of(a) == f
+def boundary_axes():
+    """Axes on the fold's boundaries, with every sign flip and coordinate
+    order: (1,0,0), (1,1,0)/sqrt2, (1,1,1)/sqrt3 and (1,2,2)/3."""
+    base = np.array([[1.0, 0.0, 0.0], np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+                     np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
+                     np.array([1.0, 2.0, 2.0]) / 3.0])
+    images = np.einsum("pij,bj->pbi", SIGNED_PERMS, base).reshape(-1, 3)
+    return np.unique(images + 0.0, axis=0)
 
 
-def test_face_equivariance_interior_points():
-    # interior points map tile-to-tile under the rotation group
-    axes = unit_axes(13, 300)
-    keep = np.array([edge_distances(a).min() > 1e-6 for a in axes])
-    axes = axes[keep]
-    for h in (1, 4, 9, 17, 23):
-        moved = axes @ ROT_F[h].T
-        for a, b in zip(axes, moved):
-            assert face_of(b) == MULT[h][face_of(a)]
-
-
-def test_fundamental_tile_seed_points():
-    assert face_of(np.array([0.9, 0.1, 0.3]) / np.linalg.norm([0.9, 0.1, 0.3])) == 0
-    assert in_f0((1.0, 0.0, 0.5) / np.linalg.norm((1.0, 0.0, 0.5)))
-
-
-# -- cell complex ------------------------------------------------------------
-
-def test_edge_and_vertex_counts():
-    # 24 tiles, 36 arcs, 14 corners: Euler characteristic 2
-    assert len(EDGES) == 36
-    assert len(VERTICES) == 14
-    assert 14 - 36 + 24 == 2
-
-
-def test_vertices_are_octahedron_and_cube():
-    oct_pts = {tuple(np.round(s * np.eye(3)[i], 9)) for s in (1, -1) for i in range(3)}
-    c = 1.0 / np.sqrt(3.0)
-    cube_pts = {tuple(np.round(np.array([sx, sy, sz]) * c, 9))
-                for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)}
-    got = {tuple(np.round(v, 9)) for v in VERTICES}
-    assert got == oct_pts | cube_pts
-
-
-def test_edges_border_two_distinct_faces():
-    for e in EDGES:
-        f1, f2 = e.faces
-        assert f1 < f2
-        assert np.isclose(np.linalg.norm(e.normal), 1.0)
-        # endpoints lie on the arc's great circle
-        assert abs(e.normal @ e.p) < 1e-12
-        assert abs(e.normal @ e.q) < 1e-12
-    assert len(set(EDGE_FACE_PAIRS)) == 36
-
-
-def test_each_face_is_a_triangle():
-    # 36 arcs x 2 incident tiles = 72 incidences over 24 tiles
-    counts = [0] * 24
-    for f1, f2 in EDGE_FACE_PAIRS:
-        counts[f1] += 1
-        counts[f2] += 1
-    assert all(c == 3 for c in counts)
-
-
-# -- distances and binning ----------------------------------------------------
-
-def test_edge_distance_zero_on_the_arc():
-    for e in EDGES[::5]:
-        mid = e.p + e.q
-        mid /= np.linalg.norm(mid)
-        assert edge_distances(mid).min() < 1e-12
-
-
-def test_vertex_distances_zero_at_vertices():
-    for i, v in enumerate(VERTICES):
-        d = vertex_distances(v)
-        assert d[i] < 1e-12
-        assert np.argmin(d) == i
-
-
-def test_tile_of_fields_consistent():
-    axes = unit_axes(43, 200)
-    for a in axes:
-        info = tile_of(a)
-        assert info.face == face_of(a)
-        assert info.nearest_edge in EDGE_FACE_PAIRS
-        assert 0 <= info.nearest_vertex < 14
-        assert info.boundary_dist == pytest.approx(edge_distances(a).min())
+def test_signed_perms_hold_the_rotations():
+    perms = {p.tobytes() for p in SIGNED_PERMS}
+    assert len(perms) == 48
+    assert all(r.tobytes() in perms for r in ROT_F)
 
 
 def test_assign_bins_matches_scalar_path():
-    axes = unit_axes(23, 1500)
-    faces, edges, verts = assign_bins(axes)
-    for i in range(0, 1500, 7):
-        info = tile_of(axes[i])
-        assert faces[i] == info.face
-        assert EDGE_FACE_PAIRS[edges[i]] == info.nearest_edge
-        assert verts[i] == info.nearest_vertex
+    axes = np.vstack([unit_axes(23, 1500), boundary_axes()])
+    before = axes.copy()
+    fold = assign_bins(axes)
+    assert fold.shape == axes.shape
+    assert np.array_equal(axes, before)  # the input is left alone
+    for a, f in zip(axes, fold):
+        assert tuple(f) == tuple(sorted(abs(x) for x in a))
 
 
-def test_assign_bins_ties_take_smallest_id():
-    # +z sits at a corner shared by several arcs; ids must match argmin order
-    z = np.array([[0.0, 0.0, 1.0]])
-    faces, edges, verts = assign_bins(z)
-    assert edges[0] == int(np.argmin(edge_distances(z[0])))
-    assert verts[0] == int(np.argmin(vertex_distances(z[0])))
-    assert faces[0] == face_of(z[0])
+def test_fold_dot_is_the_signed_permutation_maximum():
+    axes = np.vstack([unit_axes(29, 120), boundary_axes()])
+    fold = assign_bins(axes)
+    folded = fold @ fold.T
+    # a . P b over the 48 signed permutations and over the 24 rotations
+    perm_max = np.einsum("ai,pij,bj->pab", axes, SIGNED_PERMS, axes).max(axis=0)
+    rot_max = np.abs(np.einsum("ai,gij,bj->gab", axes, ROT_F, axes)).max(axis=0)
+    assert np.abs(folded - perm_max).max() <= 1e-15
+    assert (folded >= rot_max - 1e-15).all()
+
+
+def test_fold_is_invariant_under_the_rotations():
+    axes = np.vstack([unit_axes(31, 200), boundary_axes()])
+    fold = assign_bins(axes)
+    for r in ROT_F:
+        assert np.array_equal(assign_bins(axes @ r.T), fold)

@@ -2,9 +2,122 @@ import math
 
 from hypothesis import given, strategies as st
 
-from qcanon.ring import Real2, RingScalar, can_halve
+from qcanon.ring import SQRT2, Real2, can_halve, halve, scalar_abs_sq
 
 _OMEGA = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+
+# -- a ring scalar, to check the reduction helpers against complex numbers ---
+
+
+def scalar_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]):
+    """Coefficient convolution modulo w^4 = -1."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (
+        a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+    )
+
+
+def scalar_conj(x: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    return a, -d, -c, -b
+
+
+class RingScalar:
+    """One element of Z[w] / sqrt(2)^k, stored reduced."""
+
+    __slots__ = ("a", "b", "c", "d", "k")
+
+    def __init__(self, a: int, b: int, c: int, d: int, k: int = 0):
+        if k < 0:
+            raise ValueError("negative sqrt(2) exponent")
+        while k > 0 and can_halve(a, b, c, d):
+            a, b, c, d = halve(a, b, c, d)
+            k -= 1
+        if a == 0 and b == 0 and c == 0 and d == 0:
+            k = 0
+        self.a, self.b, self.c, self.d, self.k = a, b, c, d, k
+
+    @classmethod
+    def from_int(cls, n: int) -> "RingScalar":
+        return cls(n, 0, 0, 0, 0)
+
+    @classmethod
+    def omega_power(cls, j: int) -> "RingScalar":
+        j %= 8
+        sign = -1 if j >= 4 else 1
+        coeffs = [0, 0, 0, 0]
+        coeffs[j % 4] = sign
+        return cls(*coeffs, 0)
+
+    def coeffs(self) -> tuple[int, int, int, int]:
+        return self.a, self.b, self.c, self.d
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+
+    def _aligned(self, other: "RingScalar"):
+        # bring both onto the common denominator sqrt(2)^max(k1, k2)
+        x, y = self.coeffs(), other.coeffs()
+        kx, ky = self.k, other.k
+        while kx < ky:
+            a, b, c, d = x
+            x = (b - d, a + c, b + d, c - a)
+            kx += 1
+        while ky < kx:
+            a, b, c, d = y
+            y = (b - d, a + c, b + d, c - a)
+            ky += 1
+        return x, y, kx
+
+    def __add__(self, other):
+        if not isinstance(other, RingScalar):
+            return NotImplemented
+        x, y, k = self._aligned(other)
+        return RingScalar(*(p + q for p, q in zip(x, y)), k)
+
+    def __sub__(self, other):
+        if not isinstance(other, RingScalar):
+            return NotImplemented
+        x, y, k = self._aligned(other)
+        return RingScalar(*(p - q for p, q in zip(x, y)), k)
+
+    def __neg__(self):
+        return RingScalar(-self.a, -self.b, -self.c, -self.d, self.k)
+
+    def __mul__(self, other):
+        if not isinstance(other, RingScalar):
+            return NotImplemented
+        return RingScalar(*scalar_mul(self.coeffs(), other.coeffs()), self.k + other.k)
+
+    def conj(self) -> "RingScalar":
+        return RingScalar(*scalar_conj(self.coeffs()), self.k)
+
+    def abs_sq(self) -> "Real2":
+        p, q = scalar_abs_sq(self.coeffs())
+        return Real2(p, q, 2 * self.k)
+
+    def __eq__(self, other):
+        if not isinstance(other, RingScalar):
+            return NotImplemented
+        return self.coeffs() == other.coeffs() and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.coeffs(), self.k))
+
+    def __complex__(self) -> complex:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        re = a + (b - d) / SQRT2
+        im = c + (b + d) / SQRT2
+        return complex(re, im) / SQRT2 ** self.k
+
+    def __repr__(self):
+        return f"RingScalar({self.a}, {self.b}, {self.c}, {self.d}, k={self.k})"
+
 
 coeff = st.integers(min_value=-50, max_value=50)
 denom = st.integers(min_value=0, max_value=8)

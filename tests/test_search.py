@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from qcanon.catalog import CatalogError, build, enumerate_canonical, load
-from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS
+from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, INV, MULT
 from qcanon.geometry import ROT_F
-from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
+from qcanon.rewrite import (CosetForm, blocks_tokens, is_canonical_bits,
+                            tokens_to_unitary)
 from qcanon.search import (ApproxQuery, ApproxResult, approximate, as_matrix,
                            coset_targets, dist_matrix, nearest)
-from qcanon.unitary import GATES, dist, from_word, su2_quaternion
+from qcanon.unitary import GATES, from_word, psu2_equal, su2_quaternion
 
 
 def haar_targets(seed, n):
@@ -19,6 +20,12 @@ def haar_targets(seed, n):
         out.append(np.array([[c - 1j * z, -y - 1j * x],
                              [y - 1j * x, c + 1j * z]]))
     return out
+
+
+def coset_form(bits, k):
+    """The circuit a hit of entry bits on dressed row k = 24 h + g stands for."""
+    h, g = divmod(k, 24)
+    return CosetForm(INV[g], bits, MULT[g][INV[h]])
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +88,18 @@ def test_symmetric_targets_found_at_distance_zero(db6):
             assert res.t_count == t
 
 
+def test_exact_ties_take_least_bits_then_row(db6):
+    # the answer is the least (bits, k) over every (entry, dressed row k)
+    # whose circuit equals the target exactly, at the answer's T-count
+    dressed_t = from_word(CLIFFORD_WORDS[9] + "T" + CLIFFORD_WORDS[14])
+    for u in (GATES["I"], GATES["T"], dressed_t):
+        for res in (approximate(ApproxQuery(u, 1e-9), db6), nearest(u, db6)):
+            exact = [(bits, k) for bits in enumerate_canonical(res.t_count)
+                     if len(bits) == res.t_count for k in range(576)
+                     if psu2_equal(coset_form(bits, k).to_unitary(), u)]
+            assert res.circuit == coset_form(*min(exact))
+
+
 # -- membership lookups ------------------------------------------------------
 
 def test_member_lookup_is_exact(db6):
@@ -93,15 +112,14 @@ def test_member_lookup_is_exact(db6):
         assert is_canonical_bits(res.circuit.body)
 
 
-def test_dressed_member_keeps_t_count(db6):
+def test_dressed_member_keeps_t_count(db12):
+    # every entry: the fold bound must keep exact members at eps 1e-9
     rng = np.random.default_rng(12)
-    bodies = [b for b in enumerate_canonical(6) if len(b) >= 4]
-    for _ in range(10):
-        bits = bodies[rng.integers(len(bodies))]
+    for bits in enumerate_canonical(12):
         g1, g2 = rng.integers(24, size=2)
         w = CLIFFORD_WORDS[g1] + "".join("SH" * b + "TH" for b in bits) \
             + CLIFFORD_WORDS[g2]
-        res = approximate(ApproxQuery(from_word(w), 1e-9), db6)
+        res = approximate(ApproxQuery(from_word(w), 1e-9), db12)
         assert res.found and res.t_count == len(bits)
         assert res.achieved_dist == 0.0
 
@@ -162,17 +180,44 @@ def test_nearest_matches_exhaustive_scan(db6):
         assert res.achieved_dist == pytest.approx(best, abs=1e-9)
 
 
+def dense_minimum(target, db):
+    """Distance from target to the catalog: every entry against every
+    dressed target, with no window and no bound."""
+    best_sq = np.inf
+    for c, s, *axis in coset_targets(as_matrix(target)):
+        dots = db.axes @ np.array(axis)
+        vals = np.abs(db.c1 * c + (db.s1 * s) * dots)
+        best_sq = min(best_sq, float(np.maximum(0.0, 1.0 - vals).min()))
+    return np.sqrt(best_sq)
+
+
 def test_nearest_matches_dense_minimum(db12, db16):
-    # every entry against every dressed target, with no tile pruning
     for db in (db12, db16):
         for target in haar_targets(51, 8):
-            best_sq = np.inf
-            for c, s, *axis in coset_targets(as_matrix(target)):
-                dots = db.axes @ np.array(axis)
-                vals = np.abs(db.c1 * c + (db.s1 * s) * dots)
-                best_sq = min(best_sq, float(np.maximum(0.0, 1.0 - vals).min()))
             res = nearest(target, db)
-            assert res.achieved_dist == pytest.approx(np.sqrt(best_sq), abs=1e-12)
+            assert res.achieved_dist == pytest.approx(dense_minimum(target, db), abs=1e-12)
+
+
+def rotations_about_fold_boundaries():
+    """exp(-i theta/2 n.sigma) for axes n where the fold's coordinates tie or
+    vanish, with sign flips, at a few angles."""
+    axes = [np.array(a, dtype=float) / np.linalg.norm(a) for a in
+            ((1, 0, 0), (0, -1, 0), (1, 1, 0), (-1, 0, 1), (1, 1, 1), (1, -1, -1),
+             (1, 2, 2), (-2, 1, -2))]
+    for n in axes:
+        for theta in (0.2, 0.9, 2.4):
+            c, s = np.cos(theta / 2), np.sin(theta / 2)
+            x, y, z = s * n
+            yield np.array([[c - 1j * z, -y - 1j * x], [y - 1j * x, c + 1j * z]])
+
+
+def test_fold_boundary_targets_match_linear_and_dense(db12):
+    for target in rotations_about_fold_boundaries():
+        for eps in (0.1, 0.03, 0.01):
+            a = approximate(ApproxQuery(target, eps), db12)
+            assert a == approximate(ApproxQuery(target, eps), db12, method="linear")
+        res = nearest(target, db12)
+        assert res.achieved_dist == pytest.approx(dense_minimum(target, db12), abs=1e-12)
 
 
 def test_nearest_prefers_distance_over_t(db6):

@@ -4,13 +4,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcanon.unitary import (GATES, ExactUnitary, adjoint_action, bloch_axis,
-                            dist, from_word, gate_matrix, mat_omega, psu2_equal,
+from qcanon.ring import Real2, scalar_abs_sq
+from qcanon.unitary import (GATES, ExactUnitary, adjoint_action, frob_inner,
+                            from_word, gate_matrix, mat_omega, psu2_equal,
                             su2_quaternion)
 
 _H = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 _T = np.diag([1.0, np.exp(1j * math.pi / 4)])
 _S = np.diag([1.0, 1j])
+
+# -- exact distance and axis helpers, checked here against the exact side ----
+
+_FOUR = Real2(4, 0, 0)
+
+
+def overlap_abs_sq(u: ExactUnitary, v: ExactUnitary) -> Real2:
+    p, q = scalar_abs_sq(frob_inner(u.m, v.m))
+    return Real2(p, q, 2 * (u.k + v.k))
+
+
+def dist(u: ExactUnitary, v: ExactUnitary) -> float:
+    """Projective operator distance sqrt((2 - |tr(U V-adjoint)|) / 2)."""
+    t = math.sqrt(max(0.0, float(overlap_abs_sq(u, v))))
+    return math.sqrt(max(0.0, (2.0 - t) / 2.0))
+
+
+def bloch_axis(u: ExactUnitary) -> tuple[np.ndarray, float]:
+    """Rotation axis (unit 3-vector) and angle in (0, pi] on the sphere.
+
+    The projective identity has every axis and none; it is rejected.
+    """
+    if u.trace_abs_sq() == _FOUR:
+        raise ValueError("no axis")
+    q = su2_quaternion(u.to_matrix())
+    s = np.linalg.norm(q[1:])
+    theta = 2.0 * math.atan2(s, q[0])
+    return q[1:] / s, theta
+
 
 words = st.text(alphabet="HTS", min_size=0, max_size=40)
 
