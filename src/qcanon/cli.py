@@ -42,6 +42,13 @@ class _Usage(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # target parsing, shared by approx / sk / bench
 
@@ -193,6 +200,10 @@ def _random_targets(seed: int, samples: int) -> np.ndarray:
 
 
 def _cmd_bench(args) -> int:
+    depths = sorted({int(x) for x in args.sk_depths.split(",")}) if args.sk_depths else []
+    if depths and not 0 <= depths[0] <= depths[-1] <= 4:
+        raise _Usage("sk depths run from 0 to 4; deeper sits below the "
+                     "double-precision floor")
     db = load(_require_db(args))
     mats = _random_targets(args.seed, args.samples)
     print("kind,depth,t_count,mean_dist,samples")
@@ -203,10 +214,7 @@ def _cmd_bench(args) -> int:
     for t in sorted(by_t):
         ds = by_t[t]
         print(f"db,,{t},{np.mean(ds):.6e},{len(ds)}")
-    if args.sk_depths:
-        depths = sorted({int(x) for x in args.sk_depths.split(",")})
-        if depths[-1] > 4:
-            raise _Usage("sk depths beyond 4 sit below the double-precision floor")
+    if depths:
         cfg = SkConfig(db=db, max_depth=depths[-1])
         sk_rows: dict[int, list[tuple[int, float]]] = {d: [] for d in depths}
         for mat in mats:
@@ -320,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="precision/T-count tradeoff CSV",
                         epilog=f"columns: {_BENCH_COLUMNS}")
     be.add_argument("--db")
-    be.add_argument("--samples", type=int, default=100)
+    be.add_argument("--samples", type=_positive_int, default=100)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--sk-depths", help="comma list, e.g. 0,1,2,3")
     be.set_defaults(func=_cmd_bench)
@@ -330,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
                    choices=("theorem1", "parity", "counts", "optimality"))
     v.add_argument("--t-max", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=int, default=None,
+    v.add_argument("--samples", type=_positive_int, default=None,
                    help="parity: circuits (default 1000); optimality: targets (default 20)")
     v.add_argument("--db", help="optimality: catalog to check (default: ephemeral t=12 build)")
     v.add_argument("--json", action="store_true")

@@ -50,12 +50,9 @@ G_HSH = 18
 
 # Moving a Clifford left over a T costs at most one extra syllable:
 # g T = prefix T g'  with prefix one of  I | H | H S H.
+# COMM gives (kind, g'), and PREFIX[kind] is the index of the prefix.
 PLAIN, HPRE, HSHPRE = 0, 1, 2
-_PREFIXES = (
-    (PLAIN, GATES["I"]),
-    (HPRE, CLIFFORD[G_H]),
-    (HSHPRE, CLIFFORD[G_HSH]),
-)
+PREFIX = (G_I, G_H, G_HSH)
 
 _T = GATES["T"]
 _T_ADJ = _T.adjoint()
@@ -63,8 +60,8 @@ _T_ADJ = _T.adjoint()
 
 def _commute_row(g: int) -> tuple[int, int]:
     gt = CLIFFORD[g] * _T
-    for kind, pre in _PREFIXES:
-        idx = clifford_index(_T_ADJ * (pre.adjoint() * gt))
+    for kind, pre in enumerate(PREFIX):
+        idx = clifford_index(_T_ADJ * (CLIFFORD[pre].adjoint() * gt))
         if idx is not None:
             return kind, idx
     raise AssertionError(f"no commutation form for G{g}")

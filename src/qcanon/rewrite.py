@@ -19,30 +19,11 @@ from dataclasses import dataclass
 
 from .clifford import (
     CLIFFORD, CLIFFORD_WORDS, COMM, INV, MULT,
-    G_H, G_HS3, G_HSH, G_S, G_SH,
-    PLAIN, HPRE, HSHPRE,
+    G_H, G_HS3, G_HSH, G_I, G_S, G_SH, PLAIN, PREFIX,
 )
-from .ring import Real2
 from .unitary import ExactUnitary, GATES, psu2_equal
 
 T_TOK = -1  # the one non-Clifford token; Clifford tokens are their indices
-
-
-class StepMeter:
-    """Counts elementary rewrite steps so tests can assert cost bounds."""
-
-    __slots__ = ("steps", "clause3")
-
-    def __init__(self):
-        self.steps = 0
-        self.clause3 = 0
-
-    def reset(self):
-        self.steps = 0
-        self.clause3 = 0
-
-
-METER = StepMeter()
 
 
 def parse_word(word: str) -> list[int]:
@@ -156,53 +137,29 @@ def unpack_bits(data: bytes, t: int) -> tuple[int, ...]:
 def normalize_tokens(tokens) -> NormalForm:
     """Single forward pass; every step applies one exact group identity.
 
-    State: `out` holds a partial normal shape [c0?] T (sep T)* with
-    c0 in {H, HSH} and separators in {H, HSH}; `res` is the Clifford
-    collected to the right of it.  An incoming T is folded through `res`
-    with the commutation table; the plain case makes two T's adjacent,
-    which merge to S and drop back into `res`.
+    State: `seps` holds one Clifford per open T, the one written before
+    it: I, H or HSH before the first T, H or HSH before each later one.
+    `res` is the Clifford collected to the right of the last T.  An
+    incoming T is folded through `res` with the commutation table; the
+    plain case makes two T's adjacent, which merge to S and drop back into
+    `res` together with the separator of the T they cancel.
     """
-    out: list[int] = []
-    res = 0
-    meter = METER
+    seps: list[int] = []
+    res = G_I
     for tok in tokens:
-        meter.steps += 1
         if tok != T_TOK:
             res = MULT[res][tok]
             continue
         kind, res2 = COMM[res]
-        if not out:
-            if kind == HPRE:
-                out.append(G_H)
-            elif kind == HSHPRE:
-                out.append(G_HSH)
-            out.append(T_TOK)
-            res = res2
-        elif kind == PLAIN:
-            out.pop()
-            res = MULT[G_S][res2]
-            while out and out[-1] != T_TOK:
-                res = MULT[out.pop()][res]
+        if seps and kind == PLAIN:
+            res = MULT[seps.pop()][MULT[G_S][res2]]
         else:
-            out.append(G_H if kind == HPRE else G_HSH)
-            out.append(T_TOK)
+            seps.append(PREFIX[kind])
             res = res2
-    if not out:
+    if not seps:
         return NormalForm(False, (), res)
-    bits = []
-    if out[0] != T_TOK:
-        hpre = True
-        bits.append(1 if out[0] == G_HSH else 0)
-        i = 1
-    else:
-        hpre = False
-        bits.append(0)
-        i = 0
-    i += 1
-    while i < len(out):
-        bits.append(1 if out[i] == G_HSH else 0)
-        i += 2
-    return NormalForm(hpre, tuple(bits), MULT[G_H][res])
+    bits = tuple([1 if g == G_HSH else 0 for g in seps])
+    return NormalForm(seps[0] != G_I, bits, MULT[G_H][res])
 
 
 def normalize_word(word: str) -> NormalForm:
@@ -241,50 +198,22 @@ def canonicalize_nf(nf: NormalForm) -> CosetForm:
     if bits[0]:
         gl = MULT[gl][G_SH]
         bits[0] = 0
-    while any(bits[1:4]):
-        METER.steps += 1
-        t = len(bits)
-        m = min(t, 4)
+    if any(bits[1:4]):
+        m = min(len(bits), 4)
         gL, gR = SQUEEZE[tuple(bits[1:m])]
         gl = MULT[gl][gL]
         v = normalize_tokens([gR, G_H] + blocks_tokens(bits[m:]) + [gr])
-        if not v.body:
-            # remainder collapsed: (TH)^(m-1) T . g  ->  (TH)^m . (H g)
-            bits = [0] * m
-            gr = MULT[G_H][v.tail]
-            break
-        if v.hpre:
-            # the prefix H closes the m-th block; tail bits are free
-            assert m == 4, "short squeeze must collapse its remainder"
-            bits = [0] * 4 + list(v.body)
-            gr = v.tail
-            break
-        # v leads with a plain TH, so the open T cancels into S; re-run on
-        # the strictly smaller word
-        METER.clause3 += 1
-        w = normalize_tokens(
-            blocks_tokens([0] * (m - 1)) + [T_TOK]
-            + blocks_tokens(v.body) + [v.tail]
-        )
-        assert len(w.body) < t, "T-count must drop when blocks collide"
-        if w.hpre:
-            gl = MULT[gl][G_H]
-        bits = list(w.body)
-        gr = w.tail
-        if not bits:
-            return CosetForm(MULT[gl][gr], (), 0)
-        if bits[0]:
-            gl = MULT[gl][G_SH]
-            bits[0] = 0
+        # the open T never meets another: normal forms have minimal T-count
+        assert v.hpre or not v.body, "remainder must not lead with a plain T"
+        # (TH)^(m-1) T . [H] blocks . g: the H closes the m-th block, and
+        # a collapsed remainder g supplies it as H . (H g)
+        bits = [0] * m + list(v.body)
+        gr = v.tail if v.hpre else MULT[G_H][v.tail]
     return CosetForm(gl, tuple(bits), gr)
 
 
-def canonicalize_tokens(tokens) -> CosetForm:
-    return canonicalize_nf(normalize_tokens(tokens))
-
-
 def canonicalize_word(word: str) -> CosetForm:
-    return canonicalize_tokens(parse_word(word))
+    return canonicalize_nf(normalize_tokens(parse_word(word)))
 
 
 def is_canonical_bits(bits) -> bool:
@@ -334,12 +263,6 @@ def adjoint_z_state(bits) -> tuple[int, tuple[int, int, int, int, int, int]]:
             )
         l += 1
     return l, (x0, x1, y0, y1, z0, z1)
-
-
-def adjoint_z(bits) -> tuple[Real2, Real2, Real2]:
-    """Exact Pauli coefficients (x, y, z) of ad_c(Z) for a normalized body."""
-    l, (x0, x1, y0, y1, z0, z1) = adjoint_z_state(bits)
-    return Real2(x0, x1, l), Real2(y0, y1, l), Real2(z0, z1, l)
 
 
 def _plain_open(m: int) -> ExactUnitary:

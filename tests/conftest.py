@@ -1,12 +1,42 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from qcanon import rewrite
 from qcanon.catalog import DELTA_BUCKET, build, save
 
 # reproducible CI runs: fixed example streams, no wall-clock flakiness
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
+
+
+@contextmanager
+def _count_rewrite_steps():
+    real = rewrite.normalize_tokens
+
+    def counted(tokens):
+        tokens = list(tokens)
+        counted.steps += len(tokens) + 1
+        return real(tokens)
+
+    counted.steps = 0
+    rewrite.normalize_tokens = counted
+    try:
+        yield counted
+    finally:
+        rewrite.normalize_tokens = real
+
+
+@pytest.fixture(scope="session")
+def count_rewrite_steps():
+    """A context manager that patches `rewrite.normalize_tokens` and yields
+    the patched function; its `steps` counts every token fed to it, plus
+    one per call, from `rewrite`'s own calls too.  Session-scoped, since
+    hypothesis refuses function-scoped fixtures; it patches nothing until
+    a test enters it."""
+    return _count_rewrite_steps
 
 
 @pytest.fixture(scope="session")

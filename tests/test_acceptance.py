@@ -14,9 +14,9 @@ from qcanon import oracle
 from qcanon.catalog import (build, canonical_count, load, save,
                             CatalogError)
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, COMM, MULT
-from qcanon.rewrite import (METER, RESTART_LHS, RESTART_RHS, SQUEEZE,
+from qcanon.rewrite import (RESTART_LHS, RESTART_RHS, SQUEEZE,
                             blocks_tokens, canonicalize_nf, is_canonical_bits,
-                            normalize_tokens, parse_word, tokens_to_unitary)
+                            parse_word, tokens_to_unitary)
 from qcanon.search import ApproxQuery, approximate, dist_matrix
 from qcanon.sk import SkConfig, gc_decompose, sk_approximate, _rot
 from qcanon.unitary import GATES, from_word, psu2_equal
@@ -82,9 +82,10 @@ def test_criterion_02_rewrite_identities(capfd):
             f"{checked} squeezes + restart, exact")
 
 
-def test_criterion_03_rewrite_soundness(capfd):
+def test_criterion_03_rewrite_soundness(capfd, count_rewrite_steps):
     """10,000 random words, length <= 256: exact equality, valid shapes,
-    meters within linear / quadratic bounds with constant <= 32."""
+    rewrite steps within linear / quadratic bounds with constant <= 32.
+    A step is a token fed to `normalize_tokens`, plus one per call."""
     rng = np.random.default_rng(0)
     n_words = 10_000
     t0 = time.perf_counter()
@@ -97,14 +98,14 @@ def test_criterion_03_rewrite_soundness(capfd):
         toks = parse_word(w)
         u = from_word(w)
 
-        METER.reset()
-        nf = normalize_tokens(toks)
-        lin = METER.steps / max(1, len(toks))
+        with count_rewrite_steps() as normalize:
+            nf = normalize(toks)
+        lin = normalize.steps / max(1, len(toks))
         worst_lin = max(worst_lin, lin)
 
-        METER.reset()
-        cf = canonicalize_nf(nf)
-        quad = (METER.steps + METER.clause3) / max(1, nf.t_count) ** 2
+        with count_rewrite_steps() as normalize:
+            cf = canonicalize_nf(nf)
+        quad = normalize.steps / max(1, nf.t_count) ** 2
         worst_quad = max(worst_quad, quad)
 
         ok &= psu2_equal(nf.to_unitary(), u)

@@ -184,6 +184,27 @@ def test_bench_sk_depth_cap(capsys, db_path):
     assert code == 2
 
 
+def test_bench_rejects_negative_sk_depth(capsys, db_path):
+    code, out, err = run(capsys, "bench", "--db", db_path, "--samples", "2",
+                         "--sk-depths=-1,1")
+    assert code == 2
+    assert out == "" and "sk depths" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--samples", "0"),
+    ("bench", "--samples", "-5"),
+    ("verify", "--suite", "parity", "--samples", "0"),
+    ("verify", "--suite", "parity", "--samples", "-5"),
+    ("verify", "--suite", "optimality", "--samples", "0"),
+])
+def test_samples_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 # -- verify -------------------------------------------------------------------------
 
 def test_verify_counts_suite(capsys):

@@ -1,19 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, G_I, MULT
-from qcanon.rewrite import (METER, RESTART_LHS, RESTART_RHS, SQUEEZE, T_TOK,
-                            CosetForm, NormalForm, adjoint_z, adjoint_z_state,
+from qcanon.rewrite import (RESTART_LHS, RESTART_RHS, SQUEEZE, T_TOK,
+                            CosetForm, NormalForm, adjoint_z_state,
                             blocks_tokens, canonicalize_nf, canonicalize_word,
                             compose_reduce, invert_nf, is_canonical_bits,
                             normalize_tokens, normalize_word, pack_bits,
                             parse_word, tokens_to_unitary, unpack_bits,
                             _verify_tables)
+from qcanon.ring import Real2
 from qcanon.unitary import GATES, from_word, psu2_equal, adjoint_action
 
 words = st.text(alphabet="HTS", min_size=0, max_size=200)
 bits_st = st.lists(st.integers(0, 1), min_size=0, max_size=60).map(tuple)
+
+
+def adjoint_z(bits) -> tuple[Real2, Real2, Real2]:
+    """Exact Pauli coefficients (x, y, z) of ad_c(Z) for a normalized body."""
+    l, (x0, x1, y0, y1, z0, z1) = adjoint_z_state(bits)
+    return Real2(x0, x1, l), Real2(y0, y1, l), Real2(z0, z1, l)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -90,12 +99,12 @@ def test_normalize_unique_representative(w):
     assert normalize_word(w + "SSSS") == nf
 
 
-@given(words)
-def test_normalize_linear_meter(w):
+@given(w=words)
+def test_normalize_linear_meter(count_rewrite_steps, w):
     toks = parse_word(w)
-    METER.reset()
-    normalize_tokens(toks)
-    assert METER.steps <= 32 * max(1, len(toks))
+    with count_rewrite_steps() as normalize:
+        normalize(toks)
+    assert normalize.steps <= 32 * max(1, len(toks))
 
 
 def test_normalize_empty_is_identity():
@@ -133,13 +142,29 @@ def test_pure_clifford_coset_form():
         assert cf == CosetForm(g, (), 0)
 
 
-@given(words)
-def test_canonicalize_quadratic_meter(w):
+@given(w=words)
+def test_canonicalize_quadratic_meter(count_rewrite_steps, w):
     nf = normalize_word(w)
-    METER.reset()
-    canonicalize_nf(nf)
+    with count_rewrite_steps() as normalize:
+        canonicalize_nf(nf)
     t = max(1, nf.t_count)
-    assert METER.steps + METER.clause3 <= 32 * t * t
+    assert normalize.steps <= 32 * t * t
+
+
+def test_canonicalize_every_dressing_up_to_t8():
+    """Each of the 48 forms [H] . blocks(bits) . g of one bits string lies in
+    one double coset, so all must give one canonical body of the same
+    T-count; one form per bits string is also checked exactly."""
+    for t in range(9):
+        for bits in itertools.product((0, 1), repeat=t):
+            forms = [NormalForm(hpre, bits, tail)
+                     for hpre in (False, True) for tail in range(24)]
+            cfs = [canonicalize_nf(nf) for nf in forms]
+            assert len({cf.body for cf in cfs}) == 1, bits
+            body = cfs[0].body
+            assert len(body) == t and is_canonical_bits(body), bits
+            k = sum(bits) % len(forms)
+            assert psu2_equal(cfs[k].to_unitary(), forms[k].to_unitary()), bits
 
 
 # -- inverse and composition ------------------------------------------------
