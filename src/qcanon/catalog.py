@@ -2,9 +2,12 @@
 
 Canonical block strings are prefix-closed: a string of T-count t is one of
 T-count t - 1 followed by one block, TH or (past t = 4) SHTH.  `build`
-therefore makes the catalog layer by layer, each entry one exact product
-of its parent's unitary with its last block, and holds only the previous
-layer's unitaries.
+therefore makes the catalog layer by layer.  Right-multiplying by a fixed
+block is linear in the 16 integer coefficients of the left factor, so a
+layer is one 16x16 integer map per block applied to the rows of the
+previous layer, followed by array versions of the sqrt(2) reduction, the
+exact trace key and the quaternion.  Only the previous layer's
+coefficients are held.
 
 The catalog is one set of entry columns in bucket order.  A bucket holds
 every entry of one exact |trace|^2 ring value; buckets are sorted by their
@@ -31,21 +34,24 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from itertools import repeat
 
 import numpy as np
 
 from .geometry import assign_bins
 from .rewrite import unpack_bits
-from .ring import Real2
-from .unitary import GATES, su2_quaternion
+from .ring import SQRT2
+from .unitary import GATES, ExactUnitary, su2_quaternion
 
 MAGIC = b"QCAN"
 VERSION = 2
 DELTA_BUCKET = 1e-10
-DEFAULT_MAX_TCOUNT = 24  # largest t_max built: 66-69 s, 458 MB max RSS on 2 cores
+DEFAULT_MAX_TCOUNT = 24  # largest t_max built: 3.1-3.3 s, 346 MB max RSS on 2 cores
 _AXIS_NORM_TOL = 1e-9
-
-_FOUR = Real2.from_int(4)
+_CHUNK = 1 << 16  # parents per layer step
+# child coefficients stay below this, so an int32 layer holds them and the
+# int64 trace key, at most 16 of their squares, cannot overflow
+_COEF_LIMIT = 1 << 29
 
 
 class CatalogError(ValueError):
@@ -138,14 +144,109 @@ class Catalog:
         return range(lo, hi)
 
 
+def _block_maps() -> tuple[list[np.ndarray], np.ndarray]:
+    """The 16x16 integer maps m -> m * block of TH and SHTH (held as float64
+    for BLAS), and the blocks' k.
+
+    Right-multiplying by a fixed block is linear in the left factor's 16
+    coefficients: row i of a map is the product of the i-th unit basis
+    matrix with the block, which must not reduce.
+    """
+    maps = []
+    for block in _BLOCK:
+        rows = []
+        for i in range(16):
+            p = ExactUnitary(tuple(int(i == j) for j in range(16)), 0) * block
+            assert p.k == block.k, "a unit basis product lost a factor of sqrt(2)"
+            rows.append(p.m)
+        maps.append(np.array(rows, dtype=np.float64))
+    return maps, np.array([block.k for block in _BLOCK])
+
+
+def _children(m: np.ndarray, k: np.ndarray, maps: list[np.ndarray],
+              ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows m / sqrt(2)^k times each block, reduced: row i's child by block j
+    is row len(maps) i + j, as `ExactUnitary.__mul__` would give it.
+
+    Raises OverflowError before a child coefficient could reach
+    _COEF_LIMIT, so the int32 layers and the int64 trace keys hold.
+    """
+    # a float64 product is exact here (every sum stays below 2^53) and
+    # runs in BLAS, which integer products do not
+    mf = m.astype(np.float64)
+    growth = max(np.abs(a).sum(axis=0).max() for a in maps)
+    if len(m) and np.abs(mf).max() * growth >= _COEF_LIMIT:
+        raise OverflowError("catalog coefficients would leave the int32 range")
+    nb = len(maps)
+    out = np.empty((len(m) * nb, 16), dtype=np.int32)
+    for j, a in enumerate(maps):
+        out[j::nb] = mf @ a
+    kk = (k[:, None] + ks[:nb]).ravel()
+    # mat_reduce: halve every row whose four entries all allow it, k > 0;
+    # a row that cannot halve never can again
+    e = out.reshape(-1, 4, 4)
+    rows = np.flatnonzero(kk > 0)
+    while len(rows):
+        x = e[rows]
+        ok = (((x[..., 0] ^ x[..., 2]) | (x[..., 1] ^ x[..., 3])) & 1 == 0).all(axis=1)
+        rows, x = rows[ok], x[ok]
+        a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+        e[rows] = np.stack(((b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2), axis=-1)
+        kk[rows] -= 1
+        rows = rows[kk[rows] > 0]
+    return out, kk
+
+
+def _sqrt2_powers(top: int) -> np.ndarray:
+    # Python's float pow, as Real2 and to_matrix use it, not np.power
+    return np.array([SQRT2 ** j for j in range(top + 1)])
+
+
+def _describe(m: np.ndarray, k: np.ndarray):
+    """Exact |trace|^2 keys (p, q, l) as Real2 reduces them, and the float
+    |trace| and axis of each row, bit-equal to the per-entry evaluation
+    `trace_abs_sq`, `to_matrix` and `su2_quaternion`."""
+    tr = (m[:, 0:4] + m[:, 12:16]).astype(np.int64)
+    a, b, c, d = tr.T
+    p = a * a + b * b + c * c + d * d
+    q = a * b + b * c + c * d - d * a
+    l = 2 * k
+    rows = np.flatnonzero((l > 0) & (p % 2 == 0))
+    while len(rows):
+        p[rows], q[rows] = q[rows], p[rows] // 2
+        l[rows] -= 1
+        rows = rows[(l[rows] > 0) & (p[rows] % 2 == 0)]
+    l[(p == 0) & (q == 0)] = 0
+    tsq = (p + q * SQRT2) / _sqrt2_powers(int(l.max()))[l]
+    traces = np.sqrt(np.maximum(0.0, tsq))
+    e = m.reshape(-1, 4, 4)
+    a, b, c, d = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
+    s = _sqrt2_powers(int(k.max()))[k][:, None]
+    mats = np.empty((len(m), 2, 2), dtype=np.complex128)
+    mats.real = ((a + (b - d) / SQRT2) / s).reshape(-1, 2, 2)
+    mats.imag = ((c + (b + d) / SQRT2) / s).reshape(-1, 2, 2)
+    vec = su2_quaternion(mats)[:, 1:]
+    # the per-entry v ** 2 is libm pow, which can differ from v * v by one ulp
+    sq = np.fromiter(map(math.pow, vec.ravel().tolist(), repeat(2.0)), np.float64,
+                     vec.size).reshape(-1, 3)
+    axes = vec / np.sqrt(np.maximum(1e-300, sq[:, 0] + sq[:, 1] + sq[:, 2]))[:, None]
+    # the identity level has no axis, only a placeholder
+    axes[(p == 4) & (q == 0) & (l == 0)] = (0.0, 0.0, 1.0)
+    return np.stack((p, q, l), axis=1), traces, axes
+
+
 def build(t_max: int) -> Catalog:
     """Evaluate every canonical circuit exactly, layer by layer, and index it.
 
     Canonical block strings are prefix-closed, so layer t is layer t - 1
-    right-multiplied by TH and, past t = 4, by SHTH: one exact product per
-    entry, the new block's bit at position t - 1.  Layers come out in
-    (t_count, bit-value) order; buckets group entries by exact |trace|^2,
-    keep that order inside each bucket and are sorted stably by |trace|.
+    right-multiplied by TH and, past t = 4, by SHTH, the new block's bit at
+    position t - 1.  Each block is one 16x16 integer map of the parent's
+    coefficients, so a layer is two integer matrix products over the rows of
+    the previous one, then the sqrt(2) reduction, the trace keys and the
+    quaternions as array operations, in chunks of parents.  Layers come out
+    in (t_count, bit-value) order; buckets group entries by exact
+    |trace|^2, keep that order inside each bucket and are sorted stably by
+    |trace|.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -153,47 +254,56 @@ def build(t_max: int) -> Catalog:
         raise ValueError(
             f"t_max {t_max} above the memory budget ({DEFAULT_MAX_TCOUNT})"
         )
+    maps, ks = _block_maps()
     n = canonical_count(t_max)
     sizes = [canonical_count(t) - canonical_count(t - 1) for t in range(t_max + 1)]
-    bits = np.empty(n, dtype=np.uint32)
+    bits = np.zeros(n, dtype=np.uint32)
     traces = np.empty(n)
     axes = np.empty((n, 3))
-    bucket_of = np.empty(n, dtype=np.intp)
-    index: dict[tuple, int] = {}  # exact key -> bucket, in first-seen order
-    firsts = []  # each bucket's |trace| key
-    layer, i = [(0, GATES["I"])], 0
-    for t in range(t_max + 1):
-        if t:
-            blocks = tuple(enumerate(_BLOCK if t > 4 else _BLOCK[:1]))
-            step = ((v | b << (t - 1), u * block) for v, u in layer for b, block in blocks)
-            # the last layer is walked once and never held
-            layer = step if t == t_max else list(step)
-        for v, u in layer:
-            tsq = u.trace_abs_sq()
-            trace = math.sqrt(max(0.0, float(tsq)))
-            if tsq == _FOUR:
-                axes[i] = (0.0, 0.0, 1.0)  # placeholder; the identity level has no axis
-            else:
-                q = su2_quaternion(u.to_matrix())
-                s = math.sqrt(max(1e-300, float(q[1] ** 2 + q[2] ** 2 + q[3] ** 2)))
-                axes[i] = (q[1] / s, q[2] / s, q[3] / s)
-            k = index.setdefault(tsq.key(), len(firsts))
-            if k == len(firsts):
-                firsts.append(trace)
-            bits[i], traces[i], bucket_of[i] = v, trace, k
-            i += 1
-    # two exact keys on one float key leave equal adjacent bucket keys,
-    # which Catalog rejects
-    keys = np.asarray(firsts)
-    order = np.argsort(keys, kind="stable")
-    perm = np.argsort(keys[bucket_of], kind="stable")
+    exact: dict[float, list] = {}  # |trace| -> its exact |trace|^2 key (p, q, l)
+
+    def put(lo, m, k):
+        keys, traces[lo:lo + len(m)], axes[lo:lo + len(m)] = _describe(m, k)
+        # buckets are exact |trace|^2 values: one |trace| must have one
+        uniq, first, inv = np.unique(traces[lo:lo + len(m)], return_index=True,
+                                     return_inverse=True)
+        clash = not (keys[first][inv] == keys).all()
+        for x, key in zip(uniq.tolist(), keys[first].tolist()):
+            clash = clash or exact.setdefault(x, key) != key
+        if clash:
+            raise CatalogError("bucket keys closer than the bucket tolerance")
+
+    layer = (np.array([GATES["I"].m], dtype=np.int32), np.zeros(1, dtype=np.int64))
+    put(0, *layer)
+    prev, lo = 0, 1  # first entries of layers t - 1 and t
+    for t in range(1, t_max + 1):
+        nb = 2 if t > 4 else 1
+        parents, pk = layer
+        held = t < t_max  # the last layer is never held whole
+        if held:
+            layer = (np.empty((len(parents) * nb, 16), dtype=np.int32),
+                     np.empty(len(parents) * nb, dtype=np.int64))
+        new_bits = np.arange(nb, dtype=np.uint32) << (t - 1)
+        for s in range(0, len(parents), _CHUNK):
+            m, k = _children(parents[s:s + _CHUNK], pk[s:s + _CHUNK], maps[:nb], ks)
+            par = bits[prev + s:prev + s + len(m) // nb]
+            c = s * nb  # the chunk's first child within layer t
+            bits[lo + c:lo + c + len(m)] = (par[:, None] | new_bits).ravel()
+            put(lo + c, m, k)
+            if held:
+                layer[0][c:c + len(m)] = m
+                layer[1][c:c + len(m)] = k
+        prev, lo = lo, lo + len(parents) * nb
+    perm = np.argsort(traces, kind="stable")
+    traces = traces[perm]
+    starts = np.flatnonzero(np.diff(traces, prepend=-1.0, append=3.0))
     return Catalog(
         t_max,
-        keys=keys[order],
-        starts=np.concatenate(([0], np.cumsum(np.bincount(bucket_of)[order]))),
+        keys=traces[starts[:-1]],
+        starts=starts,
         t=np.repeat(np.arange(t_max + 1, dtype=np.uint8), sizes)[perm],
         bits=bits[perm],
-        traces=traces[perm],
+        traces=traces,
         axes=axes[perm],
     )
 

@@ -42,11 +42,14 @@ class _Usage(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_from(lo: int):
+    """argparse type: an int no smaller than lo."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="precision/T-count tradeoff CSV",
                         epilog=f"columns: {_BENCH_COLUMNS}")
     be.add_argument("--db")
-    be.add_argument("--samples", type=_positive_int, default=100)
+    be.add_argument("--samples", type=_int_from(1), default=100)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--sk-depths", help="comma list, e.g. 0,1,2,3")
     be.set_defaults(func=_cmd_bench)
@@ -336,9 +339,9 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a brute-force oracle suite")
     v.add_argument("--suite", required=True,
                    choices=("theorem1", "parity", "counts", "optimality"))
-    v.add_argument("--t-max", type=int, default=None)
+    v.add_argument("--t-max", type=_int_from(0), default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=_positive_int, default=None,
+    v.add_argument("--samples", type=_int_from(1), default=None,
                    help="parity: circuits (default 1000); optimality: targets (default 20)")
     v.add_argument("--db", help="optimality: catalog to check (default: ephemeral t=12 build)")
     v.add_argument("--json", action="store_true")

@@ -116,18 +116,6 @@ def coset_count(t_max: int) -> int:
 # ---------------------------------------------------------------------------
 # minimum T-count search (meet in the middle, with a plain-BFS second opinion)
 
-def _quats_batch(mats: np.ndarray) -> np.ndarray:
-    """Row-wise su2_quaternion without the sign canonicalization."""
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    v = mats / np.sqrt(det)[:, None, None]
-    q = np.empty((len(mats), 4))
-    q[:, 0] = (v[:, 0, 0] + v[:, 1, 1]).real / 2.0
-    q[:, 1] = -(v[:, 0, 1] + v[:, 1, 0]).imag / 2.0
-    q[:, 2] = (v[:, 1, 0] - v[:, 0, 1]).real / 2.0
-    q[:, 3] = -(v[:, 0, 0] - v[:, 1, 1]).imag / 2.0
-    return q / np.linalg.norm(q, axis=1)[:, None]
-
-
 @dataclass
 class _LayerNum:
     quats: np.ndarray  # (2n, 4), both signs, so queries need no sign fix
@@ -145,7 +133,7 @@ def _layer_numeric(t: int) -> _LayerNum:
 
         layer = bfs_layers(t)[t]
         mats = np.stack([u.to_matrix() for u in layer.values()])
-        q = _quats_batch(mats)
+        q = su2_quaternion(mats)
         pts = np.concatenate([q, -q])
         ln = _LayerNum(pts, cKDTree(pts), np.conj(np.swapaxes(mats, 1, 2)))
         _LAYER_NUM[t] = ln
@@ -191,7 +179,7 @@ def brute_min_tcount(target, epsilon: float, t_max: int = 12,
         ln1 = _layer_numeric(t1)
         ln2 = _layer_numeric(t2)
         shifted = np.einsum("ij,njk->nik", mat, ln2.inv_mats)
-        pts = _quats_batch(shifted)
+        pts = su2_quaternion(shifted)
         hits = ln1.tree.query_ball_point(pts, radius)
         for i, hs in enumerate(hits):
             if not hs:

@@ -37,7 +37,7 @@ from .geometry import ROT_F, assign_bins
 from .rewrite import CosetForm
 from .unitary import ExactUnitary, su2_quaternion
 
-_CLIFF_MATS = [c.to_matrix() for c in CLIFFORD]
+_CLIFF_MATS = np.stack([c.to_matrix() for c in CLIFFORD])
 _SNAP = 1e-13
 
 
@@ -83,14 +83,12 @@ def coset_targets(mat: np.ndarray) -> np.ndarray:
     rotated axes are exact copies of the per-h axis components.
     """
     rows = np.empty((24, 24, 5))
-    axes = np.empty((24, 3))
-    for h in range(24):
-        q = su2_quaternion(mat @ _CLIFF_MATS[h])
-        v = q[1:]
-        s = float(np.linalg.norm(v))
-        rows[h, :, 0] = abs(float(q[0]))
-        rows[h, :, 1] = s
-        axes[h] = v / s if s > 1e-15 else (0.0, 0.0, 1.0)
+    q = su2_quaternion(mat @ _CLIFF_MATS)
+    v = q[:, 1:]
+    s = np.sqrt(np.vecdot(v, v))
+    rows[:, :, 0] = np.abs(q[:, :1])
+    rows[:, :, 1] = s[:, None]
+    axes = np.where(s[:, None] > 1e-15, v / np.maximum(s, 1e-300)[:, None], (0.0, 0.0, 1.0))
     rows[:, :, 2:] = np.einsum("gij,hj->hgi", ROT_F, axes)
     return rows.reshape(576, 5)
 

@@ -191,27 +191,29 @@ def from_word(word: str) -> ExactUnitary:
 def su2_quaternion(mat: np.ndarray) -> np.ndarray:
     """(c, sx, sy, sz) with U ~ c I - i (sx X + sy Y + sz Z), c >= 0.
 
+    mat is one 2x2 matrix or a (..., 2, 2) stack; the result is (..., 4).
     Input may carry any global phase; it is divided out through the
     determinant.  At c == 0 the vector sign is fixed by the first nonzero
-    component.
+    component.  Each row is a function of its own matrix alone: the
+    determinant is written in real arithmetic (a complex array product may
+    fuse its multiply-adds) and the norm is a per-row dot product.
     """
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    v = mat / np.sqrt(det)
-    c = (v[0, 0] + v[1, 1]).real / 2.0
-    sx = -(v[0, 1] + v[1, 0]).imag / 2.0
-    sy = (v[1, 0] - v[0, 1]).real / 2.0
-    sz = -(v[0, 0] - v[1, 1]).imag / 2.0
-    q = np.array([c, sx, sy, sz])
-    if c < 0:
-        q = -q
-    elif abs(c) < 1e-12:
-        for x in q[1:]:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    q = -q
-                break
-    n = np.linalg.norm(q)
-    return q / n
+    mat = np.asarray(mat, dtype=np.complex128)
+    a, b, c, d = (mat[..., i, j] for i in (0, 1) for j in (0, 1))
+    det = np.empty(a.shape, dtype=np.complex128)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    v = mat / np.sqrt(det)[..., None, None]
+    q = np.stack([(v[..., 0, 0] + v[..., 1, 1]).real / 2.0,
+                  -(v[..., 0, 1] + v[..., 1, 0]).imag / 2.0,
+                  (v[..., 1, 0] - v[..., 0, 1]).real / 2.0,
+                  -(v[..., 0, 0] - v[..., 1, 1]).imag / 2.0], axis=-1)
+    vec = q[..., 1:]
+    big = np.abs(vec) > 1e-12
+    lead = np.take_along_axis(vec, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    flip = (q[..., 0] < 0) | ((np.abs(q[..., 0]) < 1e-12) & big.any(axis=-1) & (lead < 0))
+    q = np.where(flip[..., None], -q, q)
+    return q / np.sqrt(np.vecdot(q, q))[..., None]
 
 
 def adjoint_action(u: ExactUnitary) -> np.ndarray:

@@ -6,8 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
-from qcanon.catalog import (DEFAULT_MAX_TCOUNT, DELTA_BUCKET, CatalogError, build,
-                            canonical_count, enumerate_canonical, load, save)
+from qcanon.catalog import (_COEF_LIMIT, DEFAULT_MAX_TCOUNT, DELTA_BUCKET, CatalogError,
+                            _block_maps, _children, build, canonical_count,
+                            enumerate_canonical, load, save)
 from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
 from qcanon.unitary import su2_quaternion
 
@@ -126,6 +127,26 @@ def test_build_bytes_pinned(tmp_path):
     save(build(12), p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "1fbbf89488d6399a15e0873e8849e58264e9e05c020aaa42dd01ab03dd01dd9b")
+
+
+def test_build_bytes_pinned_t18(tmp_path):
+    # the digest of the same file built one ExactUnitary product per entry
+    p = tmp_path / "c.qcat"
+    save(build(18), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "8e61d6847c11f6de6bdfcea2712cd828de4d80393171b05d7ad62450a1aab95c")
+
+
+def test_layer_step_refuses_coefficients_that_could_overflow():
+    maps, ks = _block_maps()
+    growth = max(int(np.abs(a).sum(axis=0).max()) for a in maps)
+    top = (_COEF_LIMIT - 1) // growth
+    k = np.zeros(1, dtype=np.int64)
+    m, _ = _children(np.full((1, 16), top, dtype=np.int32), k, maps, ks)
+    assert np.abs(m.astype(np.int64)).max() < _COEF_LIMIT
+    for big in (top + 1, -(top + 1)):
+        with pytest.raises(OverflowError, match="int32"):
+            _children(np.full((1, 16), big, dtype=np.int32), k, maps, ks)
 
 
 def test_build_rejects_tmax_above_default_at_once():

@@ -228,6 +228,19 @@ def test_verify_theorem1_suite(capsys):
     assert "theorem1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "counts", "--t-max", "-1"),
+    ("verify", "--suite", "theorem1", "--t-max", "-2"),
+])
+def test_verify_negative_tmax_is_usage_error(capsys, argv):
+    # a negative bound would check nothing and pass
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be at least 0" in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "everything"])

@@ -154,6 +154,26 @@ def test_su2_quaternion_unit_and_canonical(w):
     assert q[0] > -1e-12
 
 
+def test_su2_quaternion_stack_equals_single_calls():
+    # Haar unitaries under random global phases, then +-iX, +-iY, +-iZ,
+    # where c = 0 and the first nonzero component fixes the sign
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    haar = np.linalg.qr(z)[0] * np.exp(2j * math.pi * rng.random(200))[:, None, None]
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    signed = [s * 1j * p for p in paulis for s in (1, -1)]
+    mats = np.concatenate([haar, np.array(signed, dtype=complex)])
+    stacked = su2_quaternion(mats)
+    single = np.array([su2_quaternion(m) for m in mats])
+    assert stacked.shape == (len(mats), 4)
+    assert np.array_equal(stacked.view(np.int64), single.view(np.int64))
+    assert np.array_equal(su2_quaternion(mats.reshape(-1, 2, 2, 2)).reshape(-1, 4), stacked)
+    for i in range(3):
+        want = np.eye(4)[1 + i]
+        assert np.array_equal(stacked[len(haar) + 2 * i], want)
+        assert np.array_equal(stacked[len(haar) + 2 * i + 1], want)
+
+
 @settings(max_examples=50)
 @given(words, words)
 def test_adjoint_action_homomorphism(w1, w2):
