@@ -10,23 +10,29 @@ exact trace key and the quaternion.  Only the previous layer's
 coefficients are held.
 
 The catalog is one set of entry columns in bucket order.  A bucket holds
-every entry of one exact |trace|^2 ring value; buckets are sorted by their
-double |trace| key, and bucket b owns entries starts[b]:starts[b + 1].
-Per entry there is the T-count, the packed block bits, the stored |trace|,
-the rotation axis, the search's c1 = key / 2 and s1 = sqrt(1 - c1^2), and
-the axis's fold (its sorted absolute coordinates, from one `assign_bins`
-call over every axis), which bounds the search's overlaps.
+every entry of one T-count and one exact |trace|^2 ring value (p, q, l);
+buckets are sorted by T-count, then by their double |trace| key, so layer
+t owns one contiguous run of buckets and of entries, and bucket b owns
+entries starts[b]:starts[b + 1].  Per bucket there is the T-count, the
+exact key and the double key; per entry the packed block bits and the
+rotation axis, and, derived on construction, the search's c1 = key / 2,
+s1 = sqrt(1 - c1^2) and the terms (c1, s1 fold) of its fold bound, where
+the fold is the axis's sorted absolute coordinates (one `assign_bins`
+call over every axis).
 
-The file (format version 2) is these columns themselves: a 24-byte
+The file (format version 3) is these columns themselves: a 24-byte
 little-endian header (magic, version, t_max, bucket count, entry count),
-then keys f8[nb], starts i8[nb + 1], traces f8[n], axes f8[n, 3], bits
-u4[n] and t u1[n] as raw little-endian arrays, then a CRC-32 (zlib) of all
-bytes before it, so truncation and bit rot are detected on load.  `load`
-also checks that the counts give the file's length, that starts rises
-strictly from 0 to n, that no T-count exceeds t_max and that no entry has
-block bits set at or past its T-count; stored traces
-must lie within the bucket tolerance of their key, and stored axes must be
-unit.  Version 1 files (a per-record dump) are refused: rebuild them.
+then keys f8[nb], starts i8[nb + 1], exact i8[nb, 3], axes f8[n, 3], bits
+u4[n] and bucket_t u1[nb] as raw little-endian arrays, then a CRC-32
+(zlib) of all bytes before it, so truncation and bit rot are detected on
+load.  `load` also checks that the counts give the file's length and that
+starts rises strictly from 0 to n; the catalog itself checks that no
+T-count exceeds t_max, that no entry has block bits set at or past its
+T-count, that each double key is, bit for bit, the value its exact key
+gives, that keys of one layer lie more than twice the bucket tolerance
+apart and keys that close in different layers share their exact key, and
+that stored axes are unit.  Files of versions 1 and 2 are refused:
+rebuild them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .ring import SQRT2
 from .unitary import GATES, ExactUnitary, su2_quaternion
 
 MAGIC = b"QCAN"
-VERSION = 2
+VERSION = 3
 DELTA_BUCKET = 1e-10
 DEFAULT_MAX_TCOUNT = 24  # largest t_max built: 3.1-3.3 s, 346 MB max RSS on 2 cores
 _AXIS_NORM_TOL = 1e-9
@@ -92,37 +98,64 @@ _BLOCK = (_TH, _SHTH)
 
 
 class Catalog:
-    """Immutable entry columns, grouped into buckets sorted by trace key.
+    """Immutable entry columns, grouped into buckets sorted by (T-count, key).
 
-    keys[b] is the |trace| of bucket b and starts[b]:starts[b + 1] its
-    entries.  Entry columns: t (T-count), bits (the block bits as packed
-    by `pack_bits`, read as a little-endian integer), traces, axes (n, 3),
+    Bucket b holds T-count bucket_t[b] and the exact |trace|^2 key exact[b]
+    = (p, q, l); keys[b] is its |trace| and starts[b]:starts[b + 1] its
+    entries.  Layer t owns buckets layers[t]:layers[t + 1].  Entry columns:
+    bits (the block bits as packed by `pack_bits`, read as a little-endian
+    integer) and axes (n, 3); derived from them, t (the entry's T-count),
     c1 and s1 (the cosine and sine of the half rotation angle, from the
-    bucket key), and fold (n, 3), the axis's sorted absolute coordinates.
+    bucket key) and bound (4, n), the terms of the search's fold bound,
+    (c1, s1 fold) per entry with fold the axis's sorted absolute
+    coordinates, one row per term.
     """
 
     def __init__(self, max_tcount: int, keys: np.ndarray, starts: np.ndarray,
-                 t: np.ndarray, bits: np.ndarray, traces: np.ndarray,
-                 axes: np.ndarray):
+                 exact: np.ndarray, axes: np.ndarray, bits: np.ndarray,
+                 bucket_t: np.ndarray):
         self.max_tcount = max_tcount
         self.keys = keys
         self.starts = starts
-        self.t = t
-        self.bits = bits
-        self.traces = traces
+        self.exact = exact
         self.axes = axes
-        if len(keys) > 1:
-            gaps = np.diff(keys)
-            if not (gaps > 2 * DELTA_BUCKET).all():
-                raise CatalogError("bucket keys closer than the bucket tolerance")
-        sizes = np.diff(starts)
-        if not (np.abs(traces - np.repeat(keys, sizes)) < DELTA_BUCKET).all():
-            raise CatalogError("stored trace farther than the bucket tolerance from its key")
-        if not (np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= _AXIS_NORM_TOL).all():
+        self.bits = bits
+        self.bucket_t = bucket_t
+        if (bucket_t > max_tcount).any():
+            raise CatalogError("bucket T-count exceeds catalog t_max")
+        step = np.diff(bucket_t.astype(np.int64))
+        if (step < 0).any():
+            raise CatalogError("buckets are not in T-count order")
+        if not (np.diff(keys)[step == 0] > 2 * DELTA_BUCKET).all():
+            raise CatalogError("bucket keys closer than the bucket tolerance")
+        l = exact[:, 2]
+        if not (0 <= l.min() and l.max() <= 4 * max_tcount):
+            raise CatalogError("exact key out of range")
+        if not np.array_equal(keys, _trace_of(exact)):
+            raise CatalogError("bucket key disagrees with its exact key")
+        # keys of different layers may meet only as one exact key
+        order = np.argsort(keys, kind="stable")
+        near = np.flatnonzero(np.diff(keys[order]) <= 2 * DELTA_BUCKET)
+        if (exact[order[near]] != exact[order[near + 1]]).any():
+            raise CatalogError("bucket keys closer than the bucket tolerance")
+        x, y, z = axes.T  # the norm, as `np.linalg.norm` sums it, in a third of the time
+        if not (np.abs(np.sqrt(x * x + y * y + z * z) - 1.0) <= _AXIS_NORM_TOL).all():
             raise CatalogError("stored axis is not a unit vector")
-        self.c1 = np.repeat(keys / 2.0, sizes)
+        sizes = np.diff(starts)
+        self.t = np.repeat(bucket_t, sizes)
+        if (bits >> self.t).any():
+            raise CatalogError("entry bits set beyond its T-count")
+        self.layers = np.searchsorted(bucket_t, np.arange(max_tcount + 2))
+        # one contiguous row per term, so a gathered entry costs four takes;
+        # the fold goes first, so that it is gone before c1 and s1 exist
+        fold = assign_bins(axes)
+        self.bound = np.empty((4, len(axes)))
+        self.bound[1:] = fold.T
+        del fold
+        self.c1 = self.bound[0]
+        self.c1[:] = np.repeat(keys / 2.0, sizes)
         self.s1 = np.sqrt(np.maximum(0.0, 1.0 - self.c1 * self.c1))
-        self.fold = assign_bins(axes)
+        self.bound[1:] *= self.s1
 
     def entry_count(self) -> int:
         return len(self.t)
@@ -132,16 +165,19 @@ class Catalog:
         return unpack_bits(int(self.bits[i]).to_bytes((t + 7) // 8, "little"), t)
 
     def distinct_traces(self, t_cap: int | None = None) -> int:
+        """Distinct |trace| keys, over the layers up to t_cap if given."""
         if t_cap is None:
-            return len(self.keys)
-        bucket_of = np.repeat(np.arange(len(self.keys)), np.diff(self.starts))
-        return len(np.unique(bucket_of[self.t <= t_cap]))
+            return len(np.unique(self.keys))
+        return len(np.unique(self.keys[:self.layers[min(max(t_cap, -1), self.max_tcount) + 1]]))
 
-    def window(self, trace: float, radius: float) -> range:
-        """Bucket index range with |key - trace| < radius."""
-        lo = int(np.searchsorted(self.keys, trace - radius, side="left"))
-        hi = int(np.searchsorted(self.keys, trace + radius, side="right"))
-        return range(lo, hi)
+    def window(self, t: int, traces: np.ndarray, radius: float):
+        """Entry ranges lo[i]:hi[i] of the layer-t buckets whose key lies
+        within radius of traces[i], as two arrays."""
+        b0 = self.layers[t]
+        keys = self.keys[b0:self.layers[t + 1]]
+        lo = np.searchsorted(keys, traces - radius, side="left")
+        hi = np.searchsorted(keys, traces + radius, side="right")
+        return self.starts[b0 + lo], self.starts[b0 + hi]
 
 
 def _block_maps() -> tuple[list[np.ndarray], np.ndarray]:
@@ -202,6 +238,13 @@ def _sqrt2_powers(top: int) -> np.ndarray:
     return np.array([SQRT2 ** j for j in range(top + 1)])
 
 
+def _trace_of(exact: np.ndarray) -> np.ndarray:
+    """The double |trace| of each exact |trace|^2 key (p, q, l), bit-equal
+    to `trace_abs_sq` as a float and its square root."""
+    p, q, l = exact.T
+    return np.sqrt(np.maximum(0.0, (p + q * SQRT2) / _sqrt2_powers(int(l.max()))[l]))
+
+
 def _describe(m: np.ndarray, k: np.ndarray):
     """Exact |trace|^2 keys (p, q, l) as Real2 reduces them, and the float
     |trace| and axis of each row, bit-equal to the per-entry evaluation
@@ -217,8 +260,8 @@ def _describe(m: np.ndarray, k: np.ndarray):
         l[rows] -= 1
         rows = rows[(l[rows] > 0) & (p[rows] % 2 == 0)]
     l[(p == 0) & (q == 0)] = 0
-    tsq = (p + q * SQRT2) / _sqrt2_powers(int(l.max()))[l]
-    traces = np.sqrt(np.maximum(0.0, tsq))
+    exact = np.stack((p, q, l), axis=1)
+    traces = _trace_of(exact)
     e = m.reshape(-1, 4, 4)
     a, b, c, d = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
     s = _sqrt2_powers(int(k.max()))[k][:, None]
@@ -232,7 +275,7 @@ def _describe(m: np.ndarray, k: np.ndarray):
     axes = vec / np.sqrt(np.maximum(1e-300, sq[:, 0] + sq[:, 1] + sq[:, 2]))[:, None]
     # the identity level has no axis, only a placeholder
     axes[(p == 4) & (q == 0) & (l == 0)] = (0.0, 0.0, 1.0)
-    return np.stack((p, q, l), axis=1), traces, axes
+    return exact, traces, axes
 
 
 def build(t_max: int) -> Catalog:
@@ -244,9 +287,9 @@ def build(t_max: int) -> Catalog:
     coefficients, so a layer is two integer matrix products over the rows of
     the previous one, then the sqrt(2) reduction, the trace keys and the
     quaternions as array operations, in chunks of parents.  Layers come out
-    in (t_count, bit-value) order; buckets group entries by exact
-    |trace|^2, keep that order inside each bucket and are sorted stably by
-    |trace|.
+    in (t_count, bit-value) order; buckets group the entries of one layer
+    by exact |trace|^2, keep that order inside each bucket and are sorted
+    stably by |trace| within the layer.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -260,18 +303,16 @@ def build(t_max: int) -> Catalog:
     bits = np.zeros(n, dtype=np.uint32)
     traces = np.empty(n)
     axes = np.empty((n, 3))
-    exact: dict[float, list] = {}  # |trace| -> its exact |trace|^2 key (p, q, l)
+    seen = []  # per chunk: its distinct |trace| and their exact |trace|^2 keys
 
     def put(lo, m, k):
         keys, traces[lo:lo + len(m)], axes[lo:lo + len(m)] = _describe(m, k)
         # buckets are exact |trace|^2 values: one |trace| must have one
         uniq, first, inv = np.unique(traces[lo:lo + len(m)], return_index=True,
                                      return_inverse=True)
-        clash = not (keys[first][inv] == keys).all()
-        for x, key in zip(uniq.tolist(), keys[first].tolist()):
-            clash = clash or exact.setdefault(x, key) != key
-        if clash:
+        if not (keys[first][inv] == keys).all():
             raise CatalogError("bucket keys closer than the bucket tolerance")
+        seen.append((uniq, keys[first]))
 
     layer = (np.array([GATES["I"].m], dtype=np.int32), np.zeros(1, dtype=np.int64))
     put(0, *layer)
@@ -294,21 +335,35 @@ def build(t_max: int) -> Catalog:
                 layer[0][c:c + len(m)] = m
                 layer[1][c:c + len(m)] = k
         prev, lo = lo, lo + len(parents) * nb
-    perm = np.argsort(traces, kind="stable")
+    # (t, |trace|) order: each layer sorted stably on its own
+    first = np.cumsum([0] + sizes)
+    perm = np.concatenate([lo + np.argsort(traces[lo:hi], kind="stable")
+                           for lo, hi in zip(first[:-1], first[1:])])
     traces = traces[perm]
-    starts = np.flatnonzero(np.diff(traces, prepend=-1.0, append=3.0))
+    t = np.repeat(np.arange(t_max + 1, dtype=np.uint8), sizes)
+    edge = np.ones(n + 1, dtype=bool)
+    edge[1:n] = (traces[1:] != traces[:-1]) | (t[1:] != t[:-1])
+    starts = np.flatnonzero(edge)
+    keys = traces[starts[:-1]]
+    # and across chunks: sorted, equal |trace| must sit next to equal keys
+    x, exact = (np.concatenate(col) for col in zip(*seen))
+    order = np.argsort(x, kind="stable")
+    x, exact = x[order], exact[order]
+    same = np.flatnonzero(x[1:] == x[:-1])
+    if (exact[same] != exact[same + 1]).any():
+        raise CatalogError("bucket keys closer than the bucket tolerance")
     return Catalog(
         t_max,
-        keys=traces[starts[:-1]],
+        keys=keys,
         starts=starts,
-        t=np.repeat(np.arange(t_max + 1, dtype=np.uint8), sizes)[perm],
-        bits=bits[perm],
-        traces=traces,
+        exact=exact[np.searchsorted(x, keys)],
         axes=axes[perm],
+        bits=bits[perm],
+        bucket_t=t[starts[:-1]],
     )
 
 
-# File format v2 (see the module docstring); the 8-byte columns lead, so
+# File format v3 (see the module docstring); the 8-byte columns lead, so
 # each sits 8-byte aligned after the 24-byte header.
 _HEADER = struct.Struct("<4sIIIQ")  # magic, version, t_max, buckets, entries
 _CRC = struct.Struct("<I")
@@ -317,8 +372,8 @@ _CRC = struct.Struct("<I")
 def _layout(nb: int, n: int):
     """(column, dtype, shape) of each array, in file order."""
     return (("keys", "<f8", (nb,)), ("starts", "<i8", (nb + 1,)),
-            ("traces", "<f8", (n,)), ("axes", "<f8", (n, 3)),
-            ("bits", "<u4", (n,)), ("t", "u1", (n,)))
+            ("exact", "<i8", (nb, 3)), ("axes", "<f8", (n, 3)),
+            ("bits", "<u4", (n,)), ("bucket_t", "u1", (nb,)))
 
 
 def save(cat: Catalog, path) -> None:
@@ -361,8 +416,4 @@ def load(path) -> Catalog:
     starts = cols["starts"]
     if starts[0] != 0 or starts[-1] != n or not (np.diff(starts) > 0).all():
         raise CatalogError("bucket starts do not rise strictly from 0 to the entry count")
-    if (cols["t"] > t_max).any():
-        raise CatalogError("entry exceeds catalog t_max")
-    if (cols["bits"] >> cols["t"]).any():
-        raise CatalogError("entry bits set beyond its T-count")
     return Catalog(t_max, **cols)

@@ -105,8 +105,8 @@ def _cmd_build(args) -> int:
     cat = build(args.max_tcount)
     save(cat, args.out)
     size = os.path.getsize(args.out)
-    print(f"t_max {cat.max_tcount}: {cat.entry_count()} circuits in "
-          f"{cat.distinct_traces()} trace buckets, {size} bytes -> {args.out}")
+    print(f"t_max {cat.max_tcount}: {cat.entry_count()} circuits in {len(cat.keys)} "
+          f"buckets of {cat.distinct_traces()} distinct traces, {size} bytes -> {args.out}")
     return 0
 
 
@@ -231,6 +231,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _catalog_difference(db, ref) -> str | None:
+    """The first bucket or entry at which db differs from ref, or None."""
+    sizes = (len(db.keys), db.entry_count()), (len(ref.keys), ref.entry_count())
+    if sizes[0] != sizes[1]:
+        return "{} buckets and {} entries; the rebuild has {} and {}".format(*sizes[0], *sizes[1])
+    for kind, columns in (("bucket", ("bucket_t", "exact", "starts")),
+                          ("entry", ("bits", "axes"))):
+        for name in columns:
+            a, b = getattr(db, name), getattr(ref, name)
+            bad = np.flatnonzero((a != b).reshape(len(a), -1).any(axis=1))
+            if len(bad):
+                i = int(bad[0])
+                return f"{kind} {i}: {name} {a[i].tolist()} in the file, {b[i].tolist()} rebuilt"
+    return None
+
+
 def _cmd_verify(args) -> int:
     from . import oracle  # brings in scipy; no other command needs it
 
@@ -265,6 +281,14 @@ def _cmd_verify(args) -> int:
             lines.append(f"t={t:2d} oracle={cum:6d} grammar={grammar:6d} "
                          f"plus4={closed4:6d} {'ok' if line_ok else 'FAIL'}")
         report["rows"] = rows
+    elif suite == "catalog":
+        db = load(_require_db(args))
+        diff = _catalog_difference(db, build(db.max_tcount))
+        ok = diff is None
+        report.update(t_max=db.max_tcount, buckets=len(db.keys),
+                      entries=db.entry_count(), difference=diff)
+        lines.append(f"catalog: {'ok' if ok else 'FAIL ' + diff}; t_max={db.max_tcount} "
+                     f"buckets={len(db.keys)} entries={db.entry_count()}")
     elif suite == "optimality":
         path = getattr(args, "db", None) or os.environ.get("QCANON_DB")
         db = load(path) if path else build(12)
@@ -338,12 +362,13 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a brute-force oracle suite")
     v.add_argument("--suite", required=True,
-                   choices=("theorem1", "parity", "counts", "optimality"))
+                   choices=("theorem1", "parity", "counts", "optimality", "catalog"))
     v.add_argument("--t-max", type=_int_from(0), default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=_int_from(1), default=None,
                    help="parity: circuits (default 1000); optimality: targets (default 20)")
-    v.add_argument("--db", help="optimality: catalog to check (default: ephemeral t=12 build)")
+    v.add_argument("--db", help="optimality: catalog to check (default: ephemeral t=12 "
+                   "build); catalog: the file to rebuild and compare (or QCANON_DB)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)
     return p

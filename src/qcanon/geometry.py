@@ -44,8 +44,16 @@ def assign_bins(axes: np.ndarray) -> np.ndarray:
     coordinates in ascending order.
 
     The name predates the fold; qcbench's traced run times this function
-    under `catalog.load` by it.
+    under `catalog.load` by it.  Three coordinates sort with a network of
+    five minima and maxima, which is exact and several times faster than
+    sorting each row.
     """
     fold = np.abs(axes)
-    fold.sort(axis=1)
+    x, y, z = fold[:, 0], fold[:, 1], fold[:, 2]
+    lo = np.minimum(x, y)
+    np.maximum(x, y, out=y)  # y: the larger of the first two
+    np.minimum(lo, z, out=x)  # x: the least
+    mid = np.minimum(y, z)
+    np.maximum(y, z, out=z)  # z: the greatest
+    np.maximum(lo, mid, out=y)  # y: the middle one
     return fold

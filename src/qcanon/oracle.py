@@ -77,10 +77,6 @@ def bfs_layers(t_max: int) -> list[dict]:
     return _BFS.layers[: t_max + 1]
 
 
-def layer_sizes(t_max: int) -> list[int]:
-    return [len(layer) for layer in bfs_layers(t_max)]
-
-
 # ---------------------------------------------------------------------------
 # double-coset ground truth
 
@@ -106,11 +102,6 @@ def coset_counts_by_t(t_max: int) -> list[int]:
                     labeled.add(kk)
         out.append(new)
     return out
-
-
-def coset_count(t_max: int) -> int:
-    """Distinct two-sided Clifford cosets reachable with minimal T-count <= t_max."""
-    return sum(coset_counts_by_t(t_max))
 
 
 # ---------------------------------------------------------------------------

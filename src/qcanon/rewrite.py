@@ -216,10 +216,6 @@ def canonicalize_word(word: str) -> CosetForm:
     return canonicalize_nf(normalize_tokens(parse_word(word)))
 
 
-def is_canonical_bits(bits) -> bool:
-    return not any(bits[:4])
-
-
 def invert_nf(nf: NormalForm) -> NormalForm:
     """Normal form of the inverse; T-count is preserved.
 

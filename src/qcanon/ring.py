@@ -45,13 +45,6 @@ class Real2:
             l = 0
         self.p, self.q, self.l = p, q, l
 
-    @classmethod
-    def from_int(cls, n: int) -> "Real2":
-        return cls(n, 0, 0)
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def key(self) -> tuple[int, int, int]:
         return self.p, self.q, self.l
 

@@ -6,18 +6,23 @@ Clifford-dressed targets Ad_g[U h], held as one array with one row
 g^-1 . c . (g h^-1) at the same distance.  Rows that coincide for a
 symmetric target are kept: they tie exactly and lose on (h, g).
 
-One scan serves `approximate` (T-count first) and `nearest` (distance
-first).  The 24 rows of one h share their trace, so each h makes one
-trace-window call |key - |tr|| < 4 eps.  One bound per window entry,
-c1 c + s1 s (fold_e . fold_h) with the folds of `geometry.assign_bins`,
-is at least the entry's overlap with all 24 rows of h; the entries it
-cannot rule out are evaluated against the 24 rows at once.  Every hit
-closer than eps, over all h, goes to one judge: one lexsort on (t, d), or
-(d, t) for `nearest`, and exact ties broken by (bits, k) in Python on the
-tied hits alone.  `nearest` seeds its radius from the nearest-key buckets
-and then makes one scan at that radius.  A plain linear scan of every
-entry against every row, with the identical evaluation and judge, is kept
-as a cross-check oracle.
+The catalog is ordered by (T-count, trace key), so the search runs layer
+by layer.  The 24 rows of one h share their trace, so one window call per
+layer gives each h its entry range |key - |tr|| < 4 eps within that
+layer; the 24 ranges are gathered into one index array with an h index.
+One bound per gathered entry, c1 c + s1 s (fold_e . fold_h) with the folds
+of `geometry.assign_bins`, summed as four products, is at least the
+entry's overlap with all 24 rows of its h; the entries it cannot rule out
+are evaluated against the 24 rows of their h, elementwise.  A layer thus
+costs a fixed number of numpy calls.  `approximate` (T-count first) scans
+t = 0, 1, ... and stops at the first layer with a hit, whose hits go to
+the judge: the least (d, bits, k), with exact ties broken by (bits, k) in
+Python on the tied hits alone.  `nearest` (distance first) seeds its
+radius from the nearest-key buckets, found with one `searchsorted` per
+layer, then scans every layer at that radius and judges all hits by (d,
+t, bits, k).  A plain linear scan of every entry against every row, with
+the identical evaluation and judge and no window or bound, is kept as a
+cross-check oracle.
 
 All query arithmetic is double precision; exactness lives on the catalog
 side.  Squared distances below 1e-13 snap to zero so that exact members
@@ -39,6 +44,7 @@ from .unitary import ExactUnitary, su2_quaternion
 
 _CLIFF_MATS = np.stack([c.to_matrix() for c in CLIFFORD])
 _SNAP = 1e-13
+_H = np.arange(24)
 
 
 @dataclass(frozen=True)
@@ -93,58 +99,77 @@ def coset_targets(mat: np.ndarray) -> np.ndarray:
     return rows.reshape(576, 5)
 
 
-def _dist(db: Catalog, ids, rows: np.ndarray) -> np.ndarray:
-    """Distances of the entries ids (an index array or a slice) to the 24
-    dressed targets of one h, as a (24, len(ids)) array.
+def _dist(db: Catalog, ids, c, s, rows: np.ndarray) -> np.ndarray:
+    """Distances of the entries ids (an index array or a slice) to 24 dressed
+    targets, as a (24, len(ids)) array: either one h for all entries (c and
+    s scalars, rows (24, 1, 3) of axes) or each entry its own h (c and s
+    (len(ids),), rows (24, len(ids), 3)).
 
     The dot is written out elementwise, not as a BLAS product, so that each
     distance is a function of its (entry, row) pair alone, whatever other
     entries are evaluated with it.
     """
     ax = db.axes[ids]
-    dots = ax[:, 0] * rows[:, 2:3] + ax[:, 1] * rows[:, 3:4] + ax[:, 2] * rows[:, 4:5]
-    vals = np.abs(db.c1[ids] * rows[0, 0] + (db.s1[ids] * rows[0, 1]) * dots)
+    dots = ax[:, 0] * rows[..., 0] + ax[:, 1] * rows[..., 1] + ax[:, 2] * rows[..., 2]
+    vals = np.abs(db.c1[ids] * c + (db.s1[ids] * s) * dots)
     dsq = np.maximum(0.0, 1.0 - vals)
     dsq[dsq < _SNAP] = 0.0
     return np.sqrt(dsq)
 
 
-def _hits(db: Catalog, ids: np.ndarray, rows: np.ndarray, h: int,
-          epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(entry id, row k = 24 h + g, distance) of every pair closer than
-    epsilon between the entries ids and the 24 rows of h."""
-    d = _dist(db, ids, rows)
-    g, j = np.nonzero(d < epsilon)
-    return ids[j], 24 * h + g, d[g, j]
+def _gather(lo: np.ndarray, hi: np.ndarray, h: np.ndarray):
+    """The entry ids of the ranges lo[i]:hi[i], in order, and h[i] for each."""
+    n = hi - lo
+    ends = np.cumsum(n)
+    return np.arange(ends[-1]) + np.repeat(lo - ends + n, n), np.repeat(h, n)
 
 
-def _scan(db: Catalog, targets: np.ndarray, epsilon: float) -> list:
-    """`_hits` of every h, over the entries its window and fold bound keep.
+class _Query:
+    """The dressed targets of one query, laid out for the layer scan."""
 
-    The 24 rows of one h share their trace, so each h makes one window
-    call; the fold bound c1 c + s1 s (fold_e . fold_h) is at least the
-    overlap of entry e with every row of h, antipodes included, so an
-    entry below the threshold is closer than epsilon to none of them.  The
-    threshold keeps exact members that the snap lets through at tiny
-    epsilon, and 1e-12 covers rounding.
-    """
-    thr = 1.0 - max(epsilon * epsilon, _SNAP) - 1e-12
-    # the 24 rows of one h hold one axis under the 24 rotations: one fold
-    folds = assign_bins(targets[::24, 2:])
-    hits = []
-    for h in range(24):
-        rows = targets[24 * h:24 * h + 24]
-        win = db.window(2.0 * rows[0, 0], 4.0 * epsilon + DELTA_BUCKET)
-        if len(win) == 0:
-            continue
-        s, e = int(db.starts[win.start]), int(db.starts[win.stop])
-        f, fh = db.fold[s:e], folds[h]
-        ub = db.c1[s:e] * rows[0, 0] + (db.s1[s:e] * rows[0, 1]) * (
-            f[:, 0] * fh[0] + f[:, 1] * fh[1] + f[:, 2] * fh[2])
-        ids = s + np.flatnonzero(ub >= thr)
-        if len(ids):
-            hits.append(_hits(db, ids, rows, h, epsilon))
-    return hits
+    def __init__(self, mat: np.ndarray):
+        self.rows = coset_targets(mat).reshape(24, 24, 5)
+        self.traces = 2.0 * self.rows[:, 0, 0]
+        # the 24 rows of one h hold one axis under the 24 rotations: one
+        # fold, as the terms (c, s fold) against the entries' (c1, s1 fold)
+        self.bound = np.empty((4, 24))
+        self.bound[0] = self.rows[:, 0, 0]
+        self.bound[1:] = self.rows[:, 0, 1] * assign_bins(self.rows[:, 0, 2:]).T
+
+    def dist(self, db: Catalog, ids: np.ndarray, hh: np.ndarray) -> np.ndarray:
+        """`_dist` of the entries ids to the 24 rows of their h, hh."""
+        r = self.rows[hh]
+        return _dist(db, ids, r[:, 0, 0], r[:, 0, 1], r[:, :, 2:].transpose(1, 0, 2))
+
+    def hits(self, db: Catalog, ids: np.ndarray, hh: np.ndarray, epsilon: float):
+        """(entry id, row k = 24 h + g, distance) of every pair closer than
+        epsilon between the entries ids and the 24 rows of their h, hh."""
+        d = self.dist(db, ids, hh)
+        g, j = np.nonzero(d < epsilon)
+        return ids[j], 24 * hh[j] + g, d[g, j]
+
+    def scan(self, db: Catalog, layers, epsilon: float):
+        """`hits` of the given layers over the entries that their windows
+        and the fold bound keep.
+
+        The fold bound c1 c + s1 s (fold_e . fold_h) is at least the
+        overlap of entry e with every row of h, antipodes included, so an
+        entry below the threshold is closer than epsilon to none of them.
+        The threshold keeps exact members that the snap lets through at
+        tiny epsilon, and 1e-12 covers rounding, the bound's reassociation
+        into four products included.
+        """
+        radius = 4.0 * epsilon + DELTA_BUCKET
+        lo, hi = zip(*(db.window(t, self.traces, radius) for t in layers))
+        ids, hh = _gather(np.concatenate(lo), np.concatenate(hi), np.tile(_H, len(lo)))
+        thr = 1.0 - max(epsilon * epsilon, _SNAP) - 1e-12
+        b, q = db.bound, self.bound
+        ub = (b[0].take(ids) * q[0].take(hh) + b[1].take(ids) * q[1].take(hh)
+              + b[2].take(ids) * q[2].take(hh) + b[3].take(ids) * q[3].take(hh))
+        keep = np.flatnonzero(ub >= thr)
+        if not len(keep):  # most layers below the answer's T-count
+            return keep, keep, ub[keep]
+        return self.hits(db, ids[keep], hh[keep], epsilon)
 
 
 def _judge(db: Catalog, hits: list, dist_first: bool):
@@ -186,29 +211,42 @@ def approximate(q: ApproxQuery, db: Catalog, method: str = "geometric") -> Appro
     if method not in ("geometric", "linear"):
         raise ValueError(f"unknown method {method!r}")
     mat = as_matrix(q.target)
-    targets = coset_targets(mat)
-    if method == "geometric":
-        hits = _scan(db, targets, q.epsilon)
-    else:
+    if method == "linear":
         # every entry against every row: no window and no bound
-        ids = np.arange(db.entry_count())
-        hits = [_hits(db, ids, targets[24 * h:24 * h + 24], h, q.epsilon)
-                for h in range(24)]
-    return _finish(_judge(db, hits, dist_first=False), mat)
+        targets = coset_targets(mat)
+        hits = []
+        for h in range(24):
+            rows = targets[24 * h:24 * h + 24]
+            d = _dist(db, slice(None), rows[0, 0], rows[0, 1], rows[:, None, 2:])
+            g, j = np.nonzero(d < q.epsilon)
+            hits.append((j, 24 * h + g, d[g, j]))
+        return _finish(_judge(db, hits, dist_first=False), mat)
+    query = _Query(mat)
+    for t in range(db.max_tcount + 1):
+        hits = query.scan(db, (t,), q.epsilon)
+        if len(hits[0]):
+            return _finish(_judge(db, [hits], dist_first=False), mat)
+    return _finish(None, mat)
 
 
 def nearest(target, db: Catalog) -> ApproxResult:
     """Global minimum-distance entry, no epsilon cap (distance-first order)."""
     mat = as_matrix(target)
-    targets = coset_targets(mat)
-    # seed: the nearest-key buckets of each h against its 24 rows
-    seed = 1.0
-    nb = len(db.keys)
-    for h in range(24):
-        rows = targets[24 * h:24 * h + 24]
-        lo = int(np.searchsorted(db.keys, 2.0 * rows[0, 0]))
-        s, e = int(db.starts[max(0, lo - 1)]), int(db.starts[min(nb, lo + 1)])
-        seed = min(seed, float(_dist(db, slice(s, e), rows).min()))
+    query = _Query(mat)
+    # seed: per h, the buckets of the largest key below its trace and of the
+    # least key at or above it, over every layer (a key may recur in layers)
+    pos = np.stack([db.layers[t] + np.searchsorted(
+        db.keys[db.layers[t]:db.layers[t + 1]], query.traces)
+        for t in range(db.max_tcount + 1)])
+    has_below = pos > db.layers[:-1, None]
+    has_above = pos < db.layers[1:, None]
+    below = np.where(has_below, db.keys[pos - 1], -np.inf)
+    above = np.where(has_above, db.keys[np.minimum(pos, len(db.keys) - 1)], np.inf)
+    lt, lh = np.nonzero(has_below & (below == below.max(axis=0)))
+    at, ah = np.nonzero(has_above & (above == above.min(axis=0)))
+    b = np.concatenate((pos[lt, lh] - 1, pos[at, ah]))
+    ids, hh = _gather(db.starts[b], db.starts[b + 1], np.concatenate((lh, ah)))
+    seed = float(query.dist(db, ids, hh).min())
     # The window and the fold bound never drop an entry closer than their
     # radius (criterion 08 checks them against the linear scan), so one
     # scan just past the seed's distance sees every entry at least as near.
@@ -216,4 +254,5 @@ def nearest(target, db: Catalog) -> ApproxResult:
     # entry reappears at exactly the seed; the margin, 1e-12 in squared
     # distance, keeps it under the strict d < eps.
     eps = min(1.0, math.sqrt(seed * seed + 1e-12))
-    return _finish(_judge(db, _scan(db, targets, eps), dist_first=True), mat)
+    hits = query.scan(db, range(db.max_tcount + 1), eps)
+    return _finish(_judge(db, [hits], dist_first=True), mat)

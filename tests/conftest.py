@@ -12,6 +12,11 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 
+def is_canonical_bits(bits) -> bool:
+    """A canonical block string: its first four block bits are zero."""
+    return not any(bits[:4])
+
+
 @contextmanager
 def _count_rewrite_steps():
     real = rewrite.normalize_tokens

@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import is_canonical_bits
 from qcanon import oracle
 from qcanon.catalog import (build, canonical_count, load, save,
                             CatalogError)
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, COMM, MULT
 from qcanon.rewrite import (RESTART_LHS, RESTART_RHS, SQUEEZE,
-                            blocks_tokens, canonicalize_nf, is_canonical_bits,
-                            parse_word, tokens_to_unitary)
+                            blocks_tokens, canonicalize_nf, parse_word,
+                            tokens_to_unitary)
 from qcanon.search import ApproxQuery, approximate, dist_matrix
 from qcanon.sk import SkConfig, gc_decompose, sk_approximate, _rot
 from qcanon.unitary import GATES, from_word, psu2_equal

@@ -6,10 +6,11 @@ import zlib
 import numpy as np
 import pytest
 
-from qcanon.catalog import (_COEF_LIMIT, DEFAULT_MAX_TCOUNT, DELTA_BUCKET, CatalogError,
-                            _block_maps, _children, build, canonical_count,
-                            enumerate_canonical, load, save)
-from qcanon.rewrite import blocks_tokens, is_canonical_bits, tokens_to_unitary
+from conftest import is_canonical_bits
+from qcanon.catalog import (_COEF_LIMIT, DEFAULT_MAX_TCOUNT, DELTA_BUCKET, Catalog,
+                            CatalogError, _block_maps, _children, _trace_of, build,
+                            canonical_count, enumerate_canonical, load, save)
+from qcanon.rewrite import blocks_tokens, tokens_to_unitary
 from qcanon.unitary import su2_quaternion
 
 
@@ -54,45 +55,63 @@ def test_build_entry_count_matches_closed_form(db12):
 
 
 def test_bucket_keys_sorted_and_separated(db12):
+    # buckets run in T-count order, and in key order within one layer
+    assert np.all(np.diff(db12.bucket_t.astype(int)) >= 0)
+    for t in range(13):
+        b0, b1 = db12.layers[t], db12.layers[t + 1]
+        assert np.all(db12.bucket_t[b0:b1] == t)
+        assert np.all(np.diff(db12.keys[b0:b1]) > 2 * DELTA_BUCKET)
     keys = db12.keys
-    assert np.all(np.diff(keys) > 2 * DELTA_BUCKET)
-    bucket_key = np.repeat(keys, np.diff(db12.starts))
-    assert np.all(np.abs(db12.traces - bucket_key) < DELTA_BUCKET)
     assert np.all((0.0 <= keys) & (keys <= 2.0 + 1e-12))
+    # across layers, one key value is one exact key
+    exact = {}
+    for key, e in zip(keys.tolist(), map(tuple, db12.exact.tolist())):
+        assert exact.setdefault(key, e) == e
+    assert db12.layers[-1] == len(keys)
 
 
 def test_bucket_entries_reevaluate_exactly(db12):
-    # trace and axis stored per entry must match exact re-evaluation
+    # the bucket's exact key and T-count must match exact re-evaluation
     rng = np.random.default_rng(5)
     for bi in rng.choice(len(db12.keys), size=12, replace=False):
         s, e = db12.starts[bi], db12.starts[bi + 1]
         i = int(s + rng.integers(e - s))
         bits = db12.entry_bits(i)
         u = tokens_to_unitary(blocks_tokens(bits))
+        assert u.trace_abs_sq().key() == tuple(db12.exact[bi])
         assert abs(float(u.trace_abs_sq()) - db12.keys[bi] ** 2) < 4 * DELTA_BUCKET
-        assert len(bits) == int(db12.t[i])
+        assert len(bits) == int(db12.t[i]) == int(db12.bucket_t[bi])
         assert is_canonical_bits(bits)
 
 
 def test_buckets_are_tcount_homogeneous(db12):
-    lo = db12.starts[:-1]
-    assert np.array_equal(np.minimum.reduceat(db12.t, lo),
-                          np.maximum.reduceat(db12.t, lo))
+    # layer t's entries are exactly the canonical strings of T-count t
+    for t in range(13):
+        s, e = db12.starts[db12.layers[t]], db12.starts[db12.layers[t + 1]]
+        assert np.all(db12.t[s:e] == t)
+        got = sorted(db12.entry_bits(i) for i in range(s, e))
+        assert got == sorted(x for x in enumerate_canonical(t) if len(x) == t)
 
 
 def test_distinct_traces_cap(db12):
     total = db12.distinct_traces()
-    assert total == len(db12.keys)
+    assert total == len({tuple(e) for e in db12.exact.tolist()})
     assert db12.distinct_traces(4) < total
-    assert db12.distinct_traces(12) == total
+    assert db12.distinct_traces(12) == db12.distinct_traces(99) == total
+    assert db12.distinct_traces(0) == 1
+    assert db12.distinct_traces(-1) == 0
 
 
 def test_window_brackets_keys(db12):
-    mid = db12.keys[len(db12.keys) // 2]
-    w = db12.window(mid, 0.05)
-    assert all(abs(db12.keys[i] - mid) < 0.05 + 1e-15 for i in w)
-    below = [i for i in range(len(db12.keys)) if i not in w]
-    assert all(abs(db12.keys[i] - mid) >= 0.05 - 1e-15 for i in below)
+    traces = np.array([0.0, db12.keys[len(db12.keys) // 2], 1.3, 2.0])
+    for t in range(13):
+        b0, b1 = db12.layers[t], db12.layers[t + 1]
+        lo, hi = db12.window(t, traces, 0.05)
+        for x, s, e in zip(traces, lo, hi):
+            inside = [b for b in range(b0, b1) if s <= db12.starts[b] < e]
+            assert [b for b in range(b0, b1) if abs(db12.keys[b] - x) < 0.05] == inside
+            # a window is a run of whole buckets
+            assert s in db12.starts and e in db12.starts
 
 
 def test_identity_bucket_exists(db12):
@@ -110,9 +129,9 @@ def test_build_matches_per_entry_oracle(db12):
         assert pos == sorted(pos)
         seen += pos
         units = [tokens_to_unitary(blocks_tokens(x)) for x in bits]
-        assert len({u.trace_abs_sq().key() for u in units}) == 1
+        assert {u.trace_abs_sq().key() for u in units} == {tuple(db12.exact[b])}
         for i, x, u in zip(ids, bits, units):
-            assert len(x) == db12.t[i]
+            assert len(x) == db12.t[i] == db12.bucket_t[b]
             if db12.keys[b] >= 2.0 - DELTA_BUCKET:
                 # the identity level has no axis, only a placeholder
                 assert tuple(db12.axes[i]) == (0.0, 0.0, 1.0)
@@ -123,18 +142,20 @@ def test_build_matches_per_entry_oracle(db12):
 
 
 def test_build_bytes_pinned(tmp_path):
+    # format v3; the v2 file (sha256 1fbbf894...) held the same entries in key order
     p = tmp_path / "c.qcat"
     save(build(12), p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-        "1fbbf89488d6399a15e0873e8849e58264e9e05c020aaa42dd01ab03dd01dd9b")
+        "e918aad49bd820f6c4f406dff91cd2fef480a240b942e6fa1fdd64c7171d8200")
 
 
 def test_build_bytes_pinned_t18(tmp_path):
-    # the digest of the same file built one ExactUnitary product per entry
+    # format v3; its columns are those of the v2 file (sha256 8e61d684...,
+    # also built one ExactUnitary product per entry) in (t, key) order
     p = tmp_path / "c.qcat"
     save(build(18), p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-        "8e61d6847c11f6de6bdfcea2712cd828de4d80393171b05d7ad62450a1aab95c")
+        "20902d63a1daf7a3a88d2d35dbf91908e8cb58f73295c4314761f9b4bebefc24")
 
 
 def test_layer_step_refuses_coefficients_that_could_overflow():
@@ -166,17 +187,17 @@ def test_save_load_round_trip(tmp_path):
     assert back.max_tcount == cat.max_tcount
     assert back.entry_count() == cat.entry_count()
     assert np.array_equal(back.keys, cat.keys)
-    for column in ("starts", "t", "bits", "traces", "axes"):
+    for column in ("starts", "exact", "bucket_t", "t", "bits", "axes"):
         assert np.array_equal(getattr(back, column), getattr(cat, column))
     p2 = tmp_path / "c2.qcat"
     save(back, p2)
     assert p.read_bytes() == p2.read_bytes()
 
 
-# v2 layout: a 24-byte header (magic, version u32 at 4, t_max u32 at 8,
+# v3 layout: a 24-byte header (magic, version u32 at 4, t_max u32 at 8,
 # bucket count u32 at 12, entry count u64 at 16), then keys f8[nb],
-# starts i8[nb + 1], traces f8[n], axes f8[n, 3], bits u4[n], t u1[n],
-# then a CRC-32 of everything before it.
+# starts i8[nb + 1], exact i8[nb, 3], axes f8[n, 3], bits u4[n],
+# bucket_t u1[nb], then a CRC-32 of everything before it.
 _HEADER = 24
 
 
@@ -194,13 +215,13 @@ def _starts_offset(blob) -> int:
     return _HEADER + 8 * _counts(blob)[0]
 
 
-def _first_trace_offset(blob) -> int:
-    """File offset of the first entry's stored trace."""
+def _exact_offset(blob) -> int:
+    """File offset of the first bucket's exact key."""
     return _starts_offset(blob) + 8 * (_counts(blob)[0] + 1)
 
 
 def _first_axis_offset(blob) -> int:
-    return _first_trace_offset(blob) + 8 * _counts(blob)[1]
+    return _exact_offset(blob) + 24 * _counts(blob)[0]
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -227,7 +248,7 @@ def test_load_rejects_truncation(tmp_path):
 
 def test_load_rejects_empty_catalog(tmp_path):
     p = tmp_path / "c.qcat"
-    header = b"QCAN" + struct.pack("<IIIQ", 2, 4, 0, 0)
+    header = b"QCAN" + struct.pack("<IIIQ", 3, 4, 0, 0)
     p.write_bytes(_resign(header + struct.pack("<q", 0) + bytes(4)))
     with pytest.raises(CatalogError, match="no entries"):
         load(p)
@@ -250,6 +271,16 @@ def test_load_rejects_unknown_version(tmp_path):
     struct.pack_into("<I", blob, 4, 99)
     p.write_bytes(_resign(bytes(blob)))
     with pytest.raises(CatalogError, match="unsupported version"):
+        load(p)
+
+
+def test_load_rejects_version_2_asking_for_a_rebuild(tmp_path):
+    p = tmp_path / "c.qcat"
+    save(build(4), p)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 4, 2)
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="version 2.*rebuild"):
         load(p)
 
 
@@ -323,16 +354,62 @@ def test_load_rejects_bad_bucket_starts(tmp_path, where):
         load(p)
 
 
-def test_load_rejects_trace_off_its_bucket_key(tmp_path):
+@pytest.mark.parametrize("field", ["key", "exact"])
+def test_load_rejects_key_off_its_exact_key(tmp_path, field):
+    # one ulp off, or an exact key one step away: either way the pair disagrees
     p = tmp_path / "c.qcat"
     save(build(5), p)
     blob = bytearray(p.read_bytes())
-    off = _first_trace_offset(blob)
-    trace, = struct.unpack_from("<d", blob, off)
-    struct.pack_into("<d", blob, off, trace + 1e-6)
+    nb, _ = _counts(blob)
+    b = nb - 1  # the last bucket: an inner key of the deepest layer
+    if field == "key":
+        off = _HEADER + 8 * b
+        key, = struct.unpack_from("<d", blob, off)
+        struct.pack_into("<d", blob, off, np.nextafter(key, 3.0))
+    else:
+        off = _exact_offset(blob) + 24 * b
+        pk, = struct.unpack_from("<q", blob, off)
+        struct.pack_into("<q", blob, off, pk + 1)
     p.write_bytes(_resign(bytes(blob)))
-    with pytest.raises(CatalogError, match="stored trace"):
+    with pytest.raises(CatalogError, match="disagrees with its exact key"):
         load(p)
+
+
+def test_load_rejects_exact_key_out_of_range(tmp_path):
+    # a sqrt(2) exponent no T-count 5 circuit has, checked before it is used
+    p = tmp_path / "c.qcat"
+    save(build(5), p)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<q", blob, _exact_offset(blob) + 16, 1 << 40)  # bucket 0's l
+    p.write_bytes(_resign(bytes(blob)))
+    with pytest.raises(CatalogError, match="exact key out of range"):
+        load(p)
+
+
+def _two_layers(exact):
+    """One-entry buckets at T-counts 0 and 1 whose keys come from exact."""
+    exact = np.array(exact, dtype=np.int64)
+    return Catalog(1, keys=_trace_of(exact), starts=np.arange(3), exact=exact,
+                   axes=np.array([[0.0, 0.0, 1.0]] * 2), bits=np.zeros(2, dtype=np.uint32),
+                   bucket_t=np.array([0, 1], dtype=np.uint8))
+
+
+def test_keys_of_different_layers_meet_only_as_one_exact_key():
+    # (1, 0, 0) and the unreduced (2, 0, 2) give keys within one ulp of 1.0
+    assert _two_layers([(1, 0, 0), (1, 0, 0)]).distinct_traces() == 1
+    with pytest.raises(CatalogError, match="closer than the bucket tolerance"):
+        _two_layers([(1, 0, 0), (2, 0, 2)])
+
+
+def test_catalog_rejects_buckets_out_of_layer_order():
+    cat = build(5)
+    cols = dict(keys=cat.keys, starts=cat.starts, exact=cat.exact, axes=cat.axes,
+                bits=cat.bits)
+    with pytest.raises(CatalogError, match="T-count order"):
+        Catalog(5, bucket_t=cat.bucket_t[::-1].copy(), **cols)
+    # one layer holding every bucket: its keys are no longer sorted
+    with pytest.raises(CatalogError, match="closer than the bucket tolerance"):
+        Catalog(5, bucket_t=np.full_like(cat.bucket_t, 5), **cols)
 
 
 def test_load_rejects_non_unit_axis(tmp_path):

@@ -1,14 +1,16 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcanon
-from qcanon.catalog import build, save
+from qcanon.catalog import build, load, save
 from qcanon.cli import main
 from qcanon.rewrite import normalize_word
 from qcanon.unitary import from_word, psu2_equal
@@ -239,6 +241,37 @@ def test_verify_negative_tmax_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be at least 0" in err
+
+
+def test_verify_catalog_suite_accepts_a_good_file(capsys, db_path):
+    code, out, _ = run(capsys, "verify", "--suite", "catalog", "--db", db_path, "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["ok"] and d["difference"] is None
+    assert (d["t_max"], d["entries"]) == (8, 35)
+
+
+def test_verify_catalog_suite_names_a_flipped_bit(capsys, tmp_path, db_path):
+    # a valid checksum and a valid bit: only a rebuild can tell
+    blob = bytearray(Path(db_path).read_bytes())
+    nb, = struct.unpack_from("<I", blob, 12)
+    n, = struct.unpack_from("<Q", blob, 16)
+    off = 24 + 8 * nb + 8 * (nb + 1) + 24 * nb + 24 * n + 4 * (n - 1)  # last entry's bits
+    bits, = struct.unpack_from("<I", blob, off)
+    struct.pack_into("<I", blob, off, bits ^ 1 << 7)  # its T-count is 8
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    p = tmp_path / "flipped.qcat"
+    p.write_bytes(bytes(blob))
+    assert load(p).entry_count() == n
+    code, out, _ = run(capsys, "verify", "--suite", "catalog", "--db", str(p))
+    assert code == 1
+    assert f"FAIL entry {n - 1}: bits" in out
+
+
+def test_verify_catalog_suite_needs_a_db(capsys, monkeypatch):
+    monkeypatch.delenv("QCANON_DB", raising=False)
+    code, _, err = run(capsys, "verify", "--suite", "catalog")
+    assert code == 2 and "no catalog" in err
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -3,8 +3,7 @@ import pytest
 
 from qcanon.catalog import canonical_count
 from qcanon.oracle import (AuditReport, bfs_layers, brute_min_tcount,
-                           coset_count, coset_counts_by_t, layer_sizes,
-                           parity_audit, random_normalized_bits,
+                           coset_counts_by_t, parity_audit, random_normalized_bits,
                            theorem1_audit)
 from qcanon.rewrite import blocks_tokens, tokens_to_unitary
 from qcanon.unitary import GATES, from_word
@@ -22,6 +21,15 @@ def test_audit_report_summary():
 
 
 # -- BFS ground truth ------------------------------------------------------------
+
+def layer_sizes(t_max: int) -> list[int]:
+    return [len(layer) for layer in bfs_layers(t_max)]
+
+
+def coset_count(t_max: int) -> int:
+    """Distinct two-sided Clifford cosets reachable with minimal T-count <= t_max."""
+    return sum(coset_counts_by_t(t_max))
+
 
 def test_layer_sizes_frozen():
     assert layer_sizes(6) == [24, 72, 144, 288, 576, 1152, 2304]

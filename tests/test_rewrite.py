@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import is_canonical_bits
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, G_I, MULT
 from qcanon.rewrite import (RESTART_LHS, RESTART_RHS, SQUEEZE, T_TOK,
                             CosetForm, NormalForm, adjoint_z_state,
                             blocks_tokens, canonicalize_nf, canonicalize_word,
-                            compose_reduce, invert_nf, is_canonical_bits,
-                            normalize_tokens, normalize_word, pack_bits,
+                            compose_reduce, invert_nf, normalize_tokens, normalize_word, pack_bits,
                             parse_word, tokens_to_unitary, unpack_bits,
                             _verify_tables)
 from qcanon.ring import Real2

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from qcanon.catalog import CatalogError, build, enumerate_canonical, load
+from conftest import is_canonical_bits
+from qcanon.catalog import Catalog, CatalogError, build, enumerate_canonical, load
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, INV, MULT
 from qcanon.geometry import ROT_F
-from qcanon.rewrite import (CosetForm, blocks_tokens, is_canonical_bits,
-                            tokens_to_unitary)
-from qcanon.search import (ApproxQuery, ApproxResult, approximate, as_matrix,
+from qcanon.rewrite import CosetForm, blocks_tokens, tokens_to_unitary
+from qcanon.search import (ApproxQuery, ApproxResult, _dist, approximate, as_matrix,
                            coset_targets, dist_matrix, nearest)
 from qcanon.unitary import GATES, from_word, psu2_equal, su2_quaternion
 
@@ -143,14 +143,63 @@ def test_not_found_below_resolution(db6):
 # -- optimality structure ------------------------------------------------------
 
 def test_geometric_matches_linear(db12):
-    for i, target in enumerate(haar_targets(21, 12)):
-        eps = (0.3, 0.1)[i % 2]
-        a = approximate(ApproxQuery(target, eps), db12, method="geometric")
-        b = approximate(ApproxQuery(target, eps), db12, method="linear")
-        assert a.found == b.found
-        if a.found:
-            assert a.t_count == b.t_count
-            assert abs(a.achieved_dist - b.achieved_dist) <= 1e-12
+    # the same word, T-count and distance, bit for bit
+    found = 0
+    for target in haar_targets(21, 12):
+        for eps in (0.1, 0.03, 0.01):
+            a = approximate(ApproxQuery(target, eps), db12, method="geometric")
+            b = approximate(ApproxQuery(target, eps), db12, method="linear")
+            assert a == b
+            if a.found:
+                assert a.circuit.to_word() == b.circuit.to_word()
+                found += 1
+    assert found >= 12
+
+
+def test_approximate_windows_one_layer_per_t_count(db12, monkeypatch):
+    # T-count first: layers 0..t of the answer are scanned, and no more
+    layers = []
+    real = Catalog.window
+
+    def counted(self, t, traces, radius):
+        layers.append(t)
+        return real(self, t, traces, radius)
+
+    monkeypatch.setattr(Catalog, "window", counted)
+    found = 0
+    for target in haar_targets(61, 8):
+        for eps in (0.3, 0.1, 0.03):
+            layers.clear()
+            res = approximate(ApproxQuery(target, eps), db12)
+            want = res.t_count + 1 if res.found else db12.max_tcount + 1
+            assert layers == list(range(want))
+            found += res.found
+    assert found >= 8
+
+
+def linear_minimum(target, db):
+    """The least (d, t, bits, k) over every entry and dressed row k, each
+    distance evaluated as the search does, with no window and no bound."""
+    rows = coset_targets(as_matrix(target))
+    best = None
+    for h in range(24):
+        r = rows[24 * h:24 * h + 24]
+        d = _dist(db, slice(None), r[0, 0], r[0, 1], r[:, None, 2:])
+        dmin = d.min()
+        if best is not None and dmin > best[0]:
+            continue
+        cands = min((int(db.t[i]), db.entry_bits(int(i)), 24 * h + int(g))
+                    for g, i in zip(*np.nonzero(d == dmin)))
+        if best is None or (dmin, *cands) < best:
+            best = (dmin, *cands)
+    return best
+
+
+def test_nearest_equals_linear_minimum(db12):
+    for target in haar_targets(71, 10):
+        d, t, bits, k = linear_minimum(target, db12)
+        res = nearest(target, db12)
+        assert (res.achieved_dist, res.t_count, res.circuit) == (d, t, coset_form(bits, k))
 
 
 def test_epsilon_monotonicity(db12):

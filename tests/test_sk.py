@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import is_canonical_bits
 from qcanon.catalog import build
-from qcanon.rewrite import NormalForm, is_canonical_bits, normalize_word
+from qcanon.rewrite import NormalForm, normalize_word
 from qcanon.search import dist_matrix, nearest
 from qcanon.sk import (SkConfig, SkError, _align_z, _gc_step, _rot, _word_matrix,
                        gc_decompose, sk_approximate)
