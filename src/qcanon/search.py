@@ -141,16 +141,10 @@ class _Query:
         r = self.rows[hh]
         return _dist(db, ids, r[:, 0, 0], r[:, 0, 1], r[:, :, 2:].transpose(1, 0, 2))
 
-    def hits(self, db: Catalog, ids: np.ndarray, hh: np.ndarray, epsilon: float):
-        """(entry id, row k = 24 h + g, distance) of every pair closer than
-        epsilon between the entries ids and the 24 rows of their h, hh."""
-        d = self.dist(db, ids, hh)
-        g, j = np.nonzero(d < epsilon)
-        return ids[j], 24 * hh[j] + g, d[g, j]
-
     def scan(self, db: Catalog, layers, epsilon: float):
-        """`hits` of the given layers over the entries that their windows
-        and the fold bound keep.
+        """(entry id, row k = 24 h + g, distance) of every pair closer than
+        epsilon, over the entries of the given layers that their windows
+        and the fold bound keep, each against the 24 rows of its h.
 
         The fold bound c1 c + s1 s (fold_e . fold_h) is at least the
         overlap of entry e with every row of h, antipodes included, so an
@@ -169,7 +163,10 @@ class _Query:
         keep = np.flatnonzero(ub >= thr)
         if not len(keep):  # most layers below the answer's T-count
             return keep, keep, ub[keep]
-        return self.hits(db, ids[keep], hh[keep], epsilon)
+        ids, hh = ids[keep], hh[keep]
+        d = self.dist(db, ids, hh)
+        g, j = np.nonzero(d < epsilon)
+        return ids[j], 24 * hh[j] + g, d[g, j]
 
 
 def _judge(db: Catalog, hits: list, dist_first: bool):
