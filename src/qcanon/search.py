@@ -36,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, CatalogError, DELTA_BUCKET
+from .catalog import _BLOCK, Catalog, CatalogError, DELTA_BUCKET
 from .clifford import CLIFFORD, INV, MULT
 from .geometry import ROT_F, assign_bins
 from .rewrite import CosetForm
 from .unitary import ExactUnitary, su2_quaternion
 
 _CLIFF_MATS = np.stack([c.to_matrix() for c in CLIFFORD])
+_BLOCK_MATS = np.stack([b.to_matrix() for b in _BLOCK])
 _SNAP = 1e-13
 _H = np.arange(24)
 
@@ -61,13 +62,28 @@ class ApproxResult:
     found: bool
 
 
+def form_matrix(g1: int, bits, g2: int) -> np.ndarray:
+    """CLIFFORD[g1] . blocks(bits) . CLIFFORD[g2] in doubles, the stacked
+    factors multiplied pairwise: log2(t) stacked products, and log2(t)
+    roundings per entry rather than t."""
+    m = np.concatenate((_CLIFF_MATS[[g1]], _BLOCK_MATS[list(bits)], _CLIFF_MATS[[g2]]))
+    while len(m) > 1:
+        if len(m) % 2:
+            m = np.concatenate((m, _CLIFF_MATS[:1]))
+        m = m[0::2] @ m[1::2]
+    return m[0]
+
+
 def as_matrix(target) -> np.ndarray:
-    """Accept an ExactUnitary or any 2x2 array; check unitarity to 1e-8."""
+    """Accept an ExactUnitary or any 2x2 array of finite entries; check
+    unitarity to 1e-8."""
     if isinstance(target, ExactUnitary):
         return target.to_matrix()
     mat = np.asarray(target, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError("target must be 2x2")
+    if not np.isfinite(mat).all():
+        raise ValueError("target has a non-finite entry")
     if np.abs(mat @ mat.conj().T - np.eye(2)).max() > 1e-8:
         raise ValueError("target is not unitary within 1e-8")
     return mat
@@ -189,10 +205,10 @@ def _finish(best, mat: np.ndarray) -> ApproxResult:
     t, d, bits, k = best
     h, g = divmod(k, 24)
     circuit = CosetForm(INV[g], bits, MULT[g][INV[h]])
-    final = dist_matrix(circuit.to_unitary().to_matrix(), mat)
-    # squared distances are linear in the trace, so they compare cleanly;
-    # the distances themselves lose half the precision near zero
-    # a stored axis that disagrees with the entry's bits shows up here
+    final = dist_matrix(form_matrix(circuit.g1, bits, circuit.g2), mat)
+    # computed from the bits alone, so a stored axis that disagrees with
+    # them shows up here; squared distances are linear in the trace, so they
+    # compare cleanly, while distances lose half the precision near zero
     if abs(final * final - d * d) > 1e-9:
         raise CatalogError(
             f"corrupt catalog: reassembled circuit distance {final} "

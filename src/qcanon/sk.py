@@ -2,7 +2,9 @@
 
 Every intermediate circuit stays in normal form: all five factors of each
 recursion step go through compose_reduce, so T cancellations are taken as
-they appear instead of piling up a raw product word.
+they appear instead of piling up a raw product word.  Each level's matrix
+is its form's block product (`search.form_matrix`), so the next level
+corrects, and the reported distance measures, the circuit returned.
 """
 from __future__ import annotations
 
@@ -13,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
+from .clifford import G_H, G_I
 from .rewrite import NormalForm, compose_reduce, invert_nf, normalize_tokens
-from .search import _SNAP, ApproxQuery, approximate, as_matrix, dist_matrix, nearest
+from .search import ApproxQuery, approximate, as_matrix, dist_matrix, form_matrix, nearest
 from .unitary import su2_quaternion
 
 _ID = np.eye(2, dtype=complex)
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
-_GATE_MATS = {"H": _H, "T": _T, "S": _T @ _T}
 
 
 class SkError(RuntimeError):
@@ -104,57 +103,37 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     return sigma @ v @ sd, sigma @ w @ sd
 
 
-def _word_matrix(word: str) -> np.ndarray:
-    m = _ID.copy()
-    for ch in word:
-        m = m @ _GATE_MATS[ch]
-    return m
+def _form_matrix(form: NormalForm) -> np.ndarray:
+    return form_matrix(G_H if form.hpre else G_I, form.body, form.tail)
 
 
-def _level0(mat: np.ndarray, cfg: SkConfig, stats: Counter, depth_max: list):
+def _rec(target_mat, depth, cfg, stats, depth_max):
+    """(form, form's block product) of each level 0..depth of target_mat."""
     if cfg.level0_epsilon > 0.0:
-        res = approximate(ApproxQuery(mat, cfg.level0_epsilon), cfg.db)
+        res = approximate(ApproxQuery(target_mat, cfg.level0_epsilon), cfg.db)
         if not res.found:
             raise SkError(
                 f"no base approximation within {cfg.level0_epsilon:g}; "
                 "enlarge the catalog or the epsilon")
     else:
-        res = nearest(mat, cfg.db)
+        res = nearest(target_mat, cfg.db)
     stats["level0_lookups"] += 1
     form = normalize_tokens(res.circuit.to_tokens())
     depth_max[0] = max(depth_max[0], form.t_count)
-    return form, _word_matrix(form.to_word())
-
-
-def _gc_step(target_mat, prev_form, prev_mat, sub_depth, cfg, stats,
-             depth_max: list):
-    """One recursion step: commutator correction of the previous level."""
-    delta = target_mat @ prev_mat.conj().T
-    vc, wc = gc_decompose(delta)
-    va_form, va_mat = _rec(vc, sub_depth, cfg, stats, depth_max)
-    wa_form, wa_mat = _rec(wc, sub_depth, cfg, stats, depth_max)
-    form = va_form
-    for part in (wa_form, invert_nf(va_form), invert_nf(wa_form), prev_form):
-        before = form.t_count + part.t_count
-        form = compose_reduce(form, part)
-        stats["compose_merged" if form.t_count < before else "compose_plain"] += 1
-    carried = va_mat @ wa_mat @ va_mat.conj().T @ wa_mat.conj().T @ prev_mat
-    # cheap per-level re-derivation in doubles guards the carried product;
-    # only divergence pays for an exact re-evaluation, not rounding noise
-    # (a squared distance below _SNAP, as in search)
-    derived = _word_matrix(form.to_word())
-    if dist_matrix(carried, derived) ** 2 >= _SNAP:
-        stats["exact_reevals"] += 1
-        carried = form.to_unitary().to_matrix()
-    depth_max[sub_depth + 1] = max(depth_max[sub_depth + 1], form.t_count)
-    return form, carried
-
-
-def _rec(target_mat, depth, cfg, stats, depth_max):
-    form, mat = _level0(target_mat, cfg, stats, depth_max)
-    for k in range(1, depth + 1):
-        form, mat = _gc_step(target_mat, form, mat, k - 1, cfg, stats, depth_max)
-    return form, mat
+    levels = [(form, _form_matrix(form))]
+    for k in range(depth):
+        prev_form, prev_mat = levels[-1]
+        vc, wc = gc_decompose(target_mat @ prev_mat.conj().T)
+        va = _rec(vc, k, cfg, stats, depth_max)[-1][0]
+        wa = _rec(wc, k, cfg, stats, depth_max)[-1][0]
+        form = va
+        for part in (wa, invert_nf(va), invert_nf(wa), prev_form):
+            before = form.t_count + part.t_count
+            form = compose_reduce(form, part)
+            stats["compose_merged" if form.t_count < before else "compose_plain"] += 1
+        depth_max[k + 1] = max(depth_max[k + 1], form.t_count)
+        levels.append((form, _form_matrix(form)))
+    return levels
 
 
 def sk_approximate(u, n: int, cfg: SkConfig) -> SkResult:
@@ -172,13 +151,9 @@ def sk_approximate(u, n: int, cfg: SkConfig) -> SkResult:
     mat = as_matrix(u)
     stats: Counter = Counter()
     depth_max = [0] * (n + 1)
-    form, fmat = _level0(mat, cfg, stats, depth_max)
-    forms = [form]
-    dists = [dist_matrix(fmat, mat)]
-    for k in range(1, n + 1):
-        form, fmat = _gc_step(mat, form, fmat, k - 1, cfg, stats, depth_max)
-        forms.append(form)
-        dists.append(dist_matrix(fmat, mat))
+    levels = _rec(mat, n, cfg, stats, depth_max)
+    forms = [form for form, _ in levels]
+    dists = [dist_matrix(fmat, mat) for _, fmat in levels]
     return SkResult(
         circuit=forms[-1],
         circuit_per_level=forms,

@@ -14,6 +14,7 @@ from conftest import is_canonical_bits
 from qcanon import oracle
 from qcanon.catalog import (build, canonical_count, load, save,
                             CatalogError)
+from qcanon.cli import _random_targets
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, COMM, MULT
 from qcanon.rewrite import (RESTART_LHS, RESTART_RHS, SQUEEZE,
                             blocks_tokens, canonicalize_nf, parse_word,
@@ -27,19 +28,6 @@ def _report(capfd, n, name, ok, details):
     with capfd.disabled():
         print(f"criterion {n:02d} {name}: {'PASS' if ok else 'FAIL'} ({details})")
     assert ok, f"criterion {n}: {details}"
-
-
-def _haar(seed, n):
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1)[:, None]
-    mats = np.empty((n, 2, 2), dtype=complex)
-    c, x, y, z = q.T
-    mats[:, 0, 0] = c - 1j * z
-    mats[:, 0, 1] = -y - 1j * x
-    mats[:, 1, 0] = y - 1j * x
-    mats[:, 1, 1] = c + 1j * z
-    return mats
 
 
 def test_criterion_01_clifford_tables(capfd):
@@ -192,7 +180,7 @@ def test_criterion_08_search_optimality(capfd, db12):
     """approximate() returns the brute-force minimum T-count on 100 seeded
     targets for eps in {0.3, 0.1}; geometric equals linear to 1e-12."""
     t0 = time.perf_counter()
-    mats = _haar(808, 100)
+    mats = _random_targets(808, 100)
     mismatches = 0
     method_gap = 0.0
     checked = 0
@@ -236,7 +224,7 @@ def test_criterion_10_sk_behavior(capfd, db20):
     commutator error scales as angle^1.5 (slope within 1.5 +- 0.1);
     T-count growth per level bounded by factor 5 plus 8."""
     t0 = time.perf_counter()
-    mats = _haar(1010, 100)
+    mats = _random_targets(1010, 100)
     cfg = SkConfig(db20)
     sum_d = np.zeros(4)
     shape_bad = 0

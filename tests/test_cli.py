@@ -99,6 +99,14 @@ def test_approx_requires_db(capsys, monkeypatch):
     assert "no catalog" in err
 
 
+@pytest.mark.parametrize("cmd", [("approx", "--eps", "0.1"), ("sk", "--depth", "1")])
+def test_non_finite_target_is_usage_error(capsys, db_path, cmd):
+    code, out, err = run(capsys, *cmd, "--db", db_path, "--axis", "0,0,1", "--angle", "nan")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_approx_env_db(capsys, monkeypatch, db_path):
     monkeypatch.setenv("QCANON_DB", db_path)
     code, out, _ = run(capsys, "approx", "--eps", "1e-9", "--gates", "T")

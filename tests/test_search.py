@@ -1,25 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import is_canonical_bits
 from qcanon.catalog import Catalog, CatalogError, build, enumerate_canonical, load
+from qcanon.cli import _random_targets
 from qcanon.clifford import CLIFFORD, CLIFFORD_WORDS, INV, MULT
 from qcanon.geometry import ROT_F
 from qcanon.rewrite import CosetForm, blocks_tokens, tokens_to_unitary
 from qcanon.search import (ApproxQuery, ApproxResult, _dist, approximate, as_matrix,
-                           coset_targets, dist_matrix, nearest)
+                           coset_targets, dist_matrix, form_matrix, nearest)
 from qcanon.unitary import GATES, from_word, psu2_equal, su2_quaternion
-
-
-def haar_targets(seed, n):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        q = rng.normal(size=4)
-        c, x, y, z = q / np.linalg.norm(q)
-        out.append(np.array([[c - 1j * z, -y - 1j * x],
-                             [y - 1j * x, c + 1j * z]]))
-    return out
 
 
 def coset_form(bits, k):
@@ -49,6 +41,18 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1, 0], [0, 2]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_target_is_rejected(db6, bad):
+    # a NaN makes every comparison False, so a unitarity test written as
+    # "error > tol" alone would let it through
+    mat = np.eye(2, dtype=complex)
+    mat[1, 0] = bad
+    for call in (as_matrix, lambda m: nearest(m, db6),
+                 lambda m: approximate(ApproxQuery(m, 0.1), db6)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(mat)
+
+
 def test_approximate_rejects_bad_args(db6):
     with pytest.raises(ValueError, match="epsilon"):
         approximate(ApproxQuery(GATES["T"], 0.0), db6)
@@ -58,10 +62,25 @@ def test_approximate_rejects_bad_args(db6):
         approximate(ApproxQuery(GATES["T"], 0.1), db6, method="fast")
 
 
+# -- form matrices ------------------------------------------------------------
+
+def test_form_matrix_equals_exact_product():
+    rng = np.random.default_rng(23)
+    cases = [int(t) for t in rng.integers(0, 65, 40)] + [0, 1, 2, 2040, 2047, 2048]
+    for t in cases:
+        g1, g2 = (int(g) for g in rng.integers(0, 24, 2))
+        bits = tuple(int(b) for b in rng.integers(0, 2, t))
+        got = form_matrix(g1, bits, g2)
+        want = CosetForm(g1, bits, g2).to_unitary().to_matrix()
+        # both multiply the same gate representatives, so even the global
+        # phase agrees
+        assert np.abs(got - want).max() < 1e-12, t
+
+
 # -- coset targets ------------------------------------------------------------
 
 def test_coset_targets_rows():
-    mat = as_matrix(haar_targets(0, 1)[0])
+    mat = as_matrix(_random_targets(0, 1)[0])
     rows = coset_targets(mat)
     assert rows.shape == (576, 5)
     for h in range(24):
@@ -125,7 +144,7 @@ def test_dressed_member_keeps_t_count(db12):
 
 
 def test_result_circuit_reproduces_distance(db6):
-    for target in haar_targets(3, 6):
+    for target in _random_targets(3, 6):
         res = approximate(ApproxQuery(target, 0.4), db6)
         if not res.found:
             continue
@@ -136,7 +155,7 @@ def test_result_circuit_reproduces_distance(db6):
 
 
 def test_not_found_below_resolution(db6):
-    res = approximate(ApproxQuery(haar_targets(9, 1)[0], 0.01), db6)
+    res = approximate(ApproxQuery(_random_targets(9, 1)[0], 0.01), db6)
     assert res == ApproxResult(None, None, None, False)
 
 
@@ -145,7 +164,7 @@ def test_not_found_below_resolution(db6):
 def test_geometric_matches_linear(db12):
     # the same word, T-count and distance, bit for bit
     found = 0
-    for target in haar_targets(21, 12):
+    for target in _random_targets(21, 12):
         for eps in (0.1, 0.03, 0.01):
             a = approximate(ApproxQuery(target, eps), db12, method="geometric")
             b = approximate(ApproxQuery(target, eps), db12, method="linear")
@@ -167,7 +186,7 @@ def test_approximate_windows_one_layer_per_t_count(db12, monkeypatch):
 
     monkeypatch.setattr(Catalog, "window", counted)
     found = 0
-    for target in haar_targets(61, 8):
+    for target in _random_targets(61, 8):
         for eps in (0.3, 0.1, 0.03):
             layers.clear()
             res = approximate(ApproxQuery(target, eps), db12)
@@ -196,14 +215,14 @@ def linear_minimum(target, db):
 
 
 def test_nearest_equals_linear_minimum(db12):
-    for target in haar_targets(71, 10):
+    for target in _random_targets(71, 10):
         d, t, bits, k = linear_minimum(target, db12)
         res = nearest(target, db12)
         assert (res.achieved_dist, res.t_count, res.circuit) == (d, t, coset_form(bits, k))
 
 
 def test_epsilon_monotonicity(db12):
-    target = haar_targets(31, 1)[0]
+    target = _random_targets(31, 1)[0]
     prev_t = None
     for eps in (0.5, 0.3, 0.2, 0.1):
         res = approximate(ApproxQuery(target, eps), db12)
@@ -216,7 +235,7 @@ def test_epsilon_monotonicity(db12):
 
 def test_nearest_matches_exhaustive_scan(db6):
     clif = [c.to_matrix() for c in CLIFFORD]
-    for target in haar_targets(41, 3):
+    for target in _random_targets(41, 3):
         res = nearest(target, db6)
         best = np.inf
         for bits in enumerate_canonical(6):
@@ -242,7 +261,7 @@ def dense_minimum(target, db):
 
 def test_nearest_matches_dense_minimum(db12, db16):
     for db in (db12, db16):
-        for target in haar_targets(51, 8):
+        for target in _random_targets(51, 8):
             res = nearest(target, db)
             assert res.achieved_dist == pytest.approx(dense_minimum(target, db), abs=1e-12)
 

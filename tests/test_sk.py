@@ -1,28 +1,15 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import is_canonical_bits
 from qcanon.catalog import build
-from qcanon.rewrite import NormalForm, normalize_word
+from qcanon.cli import _random_targets
+from qcanon.rewrite import NormalForm
 from qcanon.search import dist_matrix, nearest
-from qcanon.sk import (SkConfig, SkError, _align_z, _gc_step, _rot, _word_matrix,
-                       gc_decompose, sk_approximate)
+from qcanon.sk import SkConfig, SkError, _align_z, _rot, gc_decompose, sk_approximate
 
 _ID = np.eye(2, dtype=np.complex128)
-
-
-def haar_targets(seed, n):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        q = rng.normal(size=4)
-        c, x, y, z = q / np.linalg.norm(q)
-        out.append(np.array([[c - 1j * z, -y - 1j * x],
-                             [y - 1j * x, c + 1j * z]]))
-    return out
 
 
 def rotation_angle(m: np.ndarray) -> float:
@@ -134,16 +121,24 @@ def test_config_validation(db12):
         sk_approximate(_ID, -1, cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_target_is_rejected(db12, bad):
+    mat = _ID.copy()
+    mat[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sk_approximate(mat, 1, SkConfig(db12))
+
+
 def test_level0_epsilon_miss_raises():
     db4 = build(4)
     cfg = SkConfig(db4, max_depth=0, level0_epsilon=1e-6)
-    target = haar_targets(14, 1)[0]
+    target = _random_targets(14, 1)[0]
     with pytest.raises(SkError, match="no base approximation"):
         sk_approximate(target, 0, cfg)
 
 
 def test_depth_zero_equals_nearest(db12):
-    target = haar_targets(15, 1)[0]
+    target = _random_targets(15, 1)[0]
     res = sk_approximate(target, 0, SkConfig(db12))
     base = nearest(target, db12)
     assert res.t_count == base.t_count
@@ -151,25 +146,8 @@ def test_depth_zero_equals_nearest(db12):
     assert len(res.circuit_per_level) == 1
 
 
-def test_gc_step_reevaluates_only_real_divergence(db12):
-    # the carried product is the previous level's matrix; with the target
-    # equal to it the commutator factors are identities, so what is carried
-    # is that matrix, checked against the word's own product in doubles
-    form = normalize_word("TH" * 11)
-    rounded = form.to_unitary().to_matrix()
-    derived = _word_matrix(form.to_word())
-    assert 0.0 < dist_matrix(rounded, derived) < 1e-7  # rounding noise only
-    # a rotation by 2 sqrt(2) 1e-6 sits at distance 1e-6
-    perturbed = derived @ _rot((0.6, 0.0, 0.8), 2.0 * math.sqrt(2.0) * 1e-6)
-    assert dist_matrix(perturbed, derived) == pytest.approx(1e-6, rel=1e-3)
-    for carried, reevals in ((rounded, 0), (perturbed, 1)):
-        stats = Counter()
-        _gc_step(carried, form, carried, 0, SkConfig(db12), stats, [0, 0])
-        assert stats["exact_reevals"] == reevals
-
-
 def test_sk_structural_invariants(db12):
-    for target in haar_targets(16, 4):
+    for target in _random_targets(16, 4):
         res = sk_approximate(target, 3, SkConfig(db12))
         assert len(res.dist_per_level) == 4
         assert len(res.t_per_level) == 4
@@ -189,7 +167,7 @@ def test_sk_structural_invariants(db12):
 
 
 def test_sk_levels_track_claimed_distances(db12):
-    target = haar_targets(17, 1)[0]
+    target = _random_targets(17, 1)[0]
     res = sk_approximate(target, 2, SkConfig(db12))
     for form, d in zip(res.circuit_per_level, res.dist_per_level):
         got = dist_matrix(form.to_unitary().to_matrix(), target)
@@ -198,7 +176,7 @@ def test_sk_levels_track_claimed_distances(db12):
 
 def test_sk_mean_distance_decreases(db12):
     dists = np.zeros(4)
-    targets = haar_targets(18, 8)
+    targets = _random_targets(18, 8)
     for target in targets:
         res = sk_approximate(target, 3, SkConfig(db12))
         dists += np.array(res.dist_per_level)
@@ -208,7 +186,7 @@ def test_sk_mean_distance_decreases(db12):
 
 def test_sk_composition_merges_occur(db12):
     stats_keys = set()
-    res = sk_approximate(haar_targets(19, 1)[0], 3, SkConfig(db12))
+    res = sk_approximate(_random_targets(19, 1)[0], 3, SkConfig(db12))
     stats_keys |= set(res.cancellations)
     assert {"level0_lookups", "compose_plain"} <= stats_keys
     # T cancellations at the junctions are the common case at depth 3
