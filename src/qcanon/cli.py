@@ -1,13 +1,21 @@
 """Command-line front end.
 
-Exit codes: 0 ok; 1 verification failure, not-found approximation, or an
-operational failure (corrupt catalog, level-0 miss); 2 usage errors.
+Exit codes:
+  0  ok
+  1  a failed verification or a not-found approximation; or an operational
+     failure: SkError (no level-0 approximation within --level0-eps),
+     CatalogError (a corrupt or inconsistent catalog), OSError (a missing
+     or unreadable file)
+  2  a usage error: bad or conflicting arguments, or a library ValueError
+     for out-of-range input (eps, depth, a t_max past desk scale, a
+     non-finite or non-unitary target)
 The QCANON_DB environment variable supplies the default --db path.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,6 +94,8 @@ def _target_matrix(args) -> np.ndarray:
         return from_word(args.gates).to_matrix()
     if args.angle is None:
         raise _Usage("--axis needs --angle")
+    if not math.isfinite(args.angle):
+        raise _Usage(f"non-finite --angle {args.angle}")
     try:
         ax = np.array([float(x) for x in args.axis.split(",")])
         if ax.shape != (3,):

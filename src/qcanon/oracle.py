@@ -2,10 +2,17 @@
 
 Everything here favors transparency over speed: breadth-first enumeration
 of the whole group with exact dedup, meet-in-the-middle over layer pairs,
-and exhaustive two-sided-translate disjointness checks.  Desk scale only.
+and exact two-sided-translate tables for the coset checks.  Desk scale only.
+
+Each BFS layer, and its numeric form for the kd-tree search, is a pure
+function of t, built once per process by `functools.cache`.  Layer t holds
+the new right extensions u.T.g of layer t-1.  Since T^-1 = S^3.T, such a
+child v gives back u = v.(g^-1.S^3).T, so the minimal T-count of v is
+t-2, t-1 or t: layers t-1 and t-2 are the only ones a revisit can be in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,9 +22,9 @@ from .catalog import enumerate_canonical
 from .clifford import CLIFFORD, G_H
 from .rewrite import adjoint_z_state, blocks_tokens, tokens_to_unitary
 from .search import _SNAP, as_matrix
-from .unitary import GATES, ExactUnitary, psu2_equal, su2_quaternion
+from .unitary import GATES, ExactUnitary, su2_quaternion
 
-_DESK_BFS = 10
+_DESK_EXACT = 10
 _DESK_MITM = 16
 
 
@@ -42,39 +49,48 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 # breadth-first layers by minimal T-count
 
-class _BfsState:
-    def __init__(self):
-        self.layers: list[dict] = []
-
-
-_BFS = _BfsState()
-_SEEN: set = set()
 # right-extension alphabet: any minimal word g0.T.g1...T.gt factors as
-# (minimal word of count t-1) . (T.gt), so frontier x {T.g} is complete
+# (minimal word of count t-1) . (T.gt), so layer x {T.g} is complete
 _TG = [GATES["T"] * c for c in CLIFFORD]
+
+
+@functools.cache
+def _layer(t: int) -> dict:
+    """{psu2 key: element} with minimal T-count exactly t, in first-seen order."""
+    if t == 0:
+        return {c.key(): c for c in CLIFFORD}
+    prev = _layer(t - 1)
+    older = _layer(t - 2) if t >= 2 else {}
+    cur = {}
+    for u in prev.values():
+        for tg in _TG:
+            v = u * tg
+            k = v.key()
+            if k not in older and k not in cur and k not in prev:
+                cur[k] = v
+    return cur
 
 
 def bfs_layers(t_max: int) -> list[dict]:
     """layers[t] = {psu2 key: element} with minimal T-count exactly t.
 
-    Exact dedup throughout; extended incrementally and cached for the
-    process lifetime, so repeated calls at increasing t_max are cheap.
+    Exact dedup throughout.  Each layer is built once per process and
+    cached, so repeated calls are cheap.  Layer t is the right extensions
+    u.T.g of layer t-1 minus revisits, and a revisit can only lie in layer
+    t-1 or t-2 (see the module docstring), so only those are checked.
     """
-    if not _BFS.layers:
-        l0 = {c.key(): c for c in CLIFFORD}
-        _BFS.layers.append(l0)
-        _SEEN.update(l0)
-    while len(_BFS.layers) <= t_max:
-        cur = {}
-        for u in _BFS.layers[-1].values():
-            for tg in _TG:
-                v = u * tg
-                k = v.key()
-                if k not in _SEEN:
-                    _SEEN.add(k)
-                    cur[k] = v
-        _BFS.layers.append(cur)
-    return _BFS.layers[: t_max + 1]
+    return [_layer(t) for t in range(t_max + 1)]
+
+
+def _translates(u: ExactUnitary) -> dict:
+    """{psu2 key: (g1, g2)} over the 576 translates CLIFFORD[g1].u.CLIFFORD[g2],
+    keeping the first (g1, g2) in row-major order for each key."""
+    out: dict = {}
+    for g1 in range(24):
+        left = CLIFFORD[g1] * u
+        for g2 in range(24):
+            out.setdefault((left * CLIFFORD[g2]).key(), (g1, g2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +98,20 @@ def bfs_layers(t_max: int) -> list[dict]:
 
 def coset_counts_by_t(t_max: int) -> list[int]:
     """counts[t] = distinct two-sided Clifford cosets of minimal T-count t."""
-    if t_max > _DESK_BFS:
-        raise ValueError(f"desk scale only (t_max <= {_DESK_BFS})")
-    layers = bfs_layers(t_max)
+    if t_max > _DESK_EXACT:
+        raise ValueError(f"desk scale only (t_max <= {_DESK_EXACT})")
     labeled: set = set()
     out = []
-    for layer in layers:
+    for layer in bfs_layers(t_max):
         new = 0
         for k, u in layer.items():
             if k in labeled:
                 continue
             new += 1
-            for g1 in range(24):
-                left = CLIFFORD[g1] * u
-                for g2 in range(24):
-                    kk = (left * CLIFFORD[g2]).key()
-                    # minimal T-count is a double-coset invariant
-                    assert kk in layer, "translate escaped its layer"
-                    labeled.add(kk)
+            keys = _translates(u).keys()
+            # minimal T-count is a double-coset invariant
+            assert keys <= layer.keys(), "translate escaped its layer"
+            labeled.update(keys)
         out.append(new)
     return out
 
@@ -114,21 +126,14 @@ class _LayerNum:
     inv_mats: np.ndarray  # (n, 2, 2)
 
 
-_LAYER_NUM: dict[int, _LayerNum] = {}
-
-
+@functools.cache
 def _layer_numeric(t: int) -> _LayerNum:
-    ln = _LAYER_NUM.get(t)
-    if ln is None:
-        from scipy.spatial import cKDTree  # kept off the import path of qcanon
+    from scipy.spatial import cKDTree  # kept off the import path of qcanon
 
-        layer = bfs_layers(t)[t]
-        mats = np.stack([u.to_matrix() for u in layer.values()])
-        q = su2_quaternion(mats)
-        pts = np.concatenate([q, -q])
-        ln = _LayerNum(pts, cKDTree(pts), np.conj(np.swapaxes(mats, 1, 2)))
-        _LAYER_NUM[t] = ln
-    return ln
+    mats = np.stack([u.to_matrix() for u in _layer(t).values()])
+    q = su2_quaternion(mats)
+    pts = np.concatenate([q, -q])
+    return _LayerNum(pts, cKDTree(pts), np.conj(np.swapaxes(mats, 1, 2)))
 
 
 def _snap_dist(max_abs_dot: float) -> float:
@@ -150,8 +155,8 @@ def brute_min_tcount(target, epsilon: float, t_max: int = 12,
     """
     mat = as_matrix(target)
     if method == "bfs":
-        if t_max > _DESK_BFS:
-            raise ValueError(f"bfs method needs t_max <= {_DESK_BFS}")
+        if t_max > _DESK_EXACT:
+            raise ValueError(f"bfs method needs t_max <= {_DESK_EXACT}")
         qt = su2_quaternion(mat)
         for t in range(t_max + 1):
             ln = _layer_numeric(t)
@@ -185,60 +190,38 @@ def brute_min_tcount(target, epsilon: float, t_max: int = 12,
 # uniqueness audit: canonical circuits are pairwise disjoint under all
 # 576 two-sided Clifford translates
 
-def _canonical_unitaries(t_max: int):
-    circuits = list(enumerate_canonical(t_max))
-    units = [tokens_to_unitary(blocks_tokens(b)) for b in circuits]
-    return circuits, units
-
-
-def _translate_witness(ui: ExactUnitary, uj: ExactUnitary):
-    for g1 in range(24):
-        left = CLIFFORD[g1] * ui
-        for g2 in range(24):
-            if psu2_equal(left * CLIFFORD[g2], uj):
-                return g1, g2
-    return None
-
-
 def theorem1_audit(t_max: int, inject_fake: bool = False) -> AuditReport:
     """No two distinct canonical circuits of T-count <= t_max collide under
     any (g1, g2) two-sided Clifford translate.
 
-    Per circuit we take the exact psu2 keys of all 576 translates; a pair
-    collides for some (g1, g2) iff its key sets intersect, so the pairwise
-    check runs on precomputed sets without repeating products.  Exact
-    arithmetic end to end.  inject_fake plants a known duplicate (a
-    conjugate of an existing circuit) to prove the audit can fail.
+    The 576 translates of circuit i are its double coset, so circuit j > i
+    collides with it iff j's own exact psu2 key is in i's translate table,
+    and the table's (g1, g2) is the witness.  Exact arithmetic end to end.
+    inject_fake plants a known duplicate (a conjugate of an existing
+    circuit) to prove the audit can fail.
     """
-    if t_max > _DESK_BFS:
-        raise ValueError(f"desk scale only (t_max <= {_DESK_BFS})")
-    circuits, units = _canonical_unitaries(t_max)
+    if t_max > _DESK_EXACT:
+        raise ValueError(f"desk scale only (t_max <= {_DESK_EXACT})")
+    circuits = list(enumerate_canonical(t_max))
+    units = [tokens_to_unitary(blocks_tokens(b)) for b in circuits]
     if inject_fake:
         src = 1 if len(units) > 1 else 0
         circuits.append(("injected",) + tuple(circuits[src]))
         units.append(CLIFFORD[G_H] * units[src] * CLIFFORD[G_H])
-    keysets = []
-    for u in units:
-        keys = set()
-        for g1 in range(24):
-            left = CLIFFORD[g1] * u
-            for g2 in range(24):
-                keys.add((left * CLIFFORD[g2]).key())
-        keysets.append(frozenset(keys))
+    keys = [u.key() for u in units]
     violations = []
-    pairs = 0
-    for i in range(len(units)):
+    for i, u in enumerate(units):
+        table = _translates(u)
         for j in range(i + 1, len(units)):
-            pairs += 1
-            if keysets[i].isdisjoint(keysets[j]):
-                continue
-            g1, g2 = _translate_witness(units[i], units[j])
-            violations.append((circuits[i], circuits[j], g1, g2))
+            hit = table.get(keys[j])
+            if hit is not None:
+                violations.append((circuits[i], circuits[j], *hit))
+    n = len(units)
     return AuditReport(
         name="theorem1",
-        checked=pairs,
+        checked=n * (n - 1) // 2,
         violations=violations,
-        info={"circuits": len(units), "translates_per_pair": 576},
+        info={"circuits": n, "translates_per_pair": 576},
     )
 
 

@@ -112,10 +112,10 @@ def test_criterion_03_rewrite_soundness(capfd, count_rewrite_steps):
 
 
 def test_criterion_04_separation_audit(capfd):
-    """No two canonical circuits of T-count <= 8 collide under any of the
+    """No two canonical circuits of T-count <= 10 collide under any of the
     576 two-sided Clifford translates (exhaustive, exact)."""
     t0 = time.perf_counter()
-    rep = oracle.theorem1_audit(8)
+    rep = oracle.theorem1_audit(10)
     dt = time.perf_counter() - t0
     ok = rep.ok and dt < 600.0
     _report(capfd, 4, "theorem1 audit", ok,

@@ -101,10 +101,12 @@ def test_approx_requires_db(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cmd", [("approx", "--eps", "0.1"), ("sk", "--depth", "1")])
 def test_non_finite_target_is_usage_error(capsys, db_path, cmd):
-    code, out, err = run(capsys, *cmd, "--db", db_path, "--axis", "0,0,1", "--angle", "nan")
-    assert code == 2
-    assert out == ""
-    assert "non-finite" in err
+    for angle in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, *cmd, "--db", db_path, "--axis", "0,0,1",
+                             f"--angle={angle}")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
 
 def test_approx_env_db(capsys, monkeypatch, db_path):
@@ -174,6 +176,14 @@ def test_sk_depth_beyond_floor_is_usage_error(capsys, db_path):
     code, _, err = run(capsys, "sk", "--db", db_path, "--depth", "5",
                        "--gates", "T")
     assert code == 2
+
+
+def test_sk_level0_miss_is_operational_error(capsys, db_path):
+    code, out, err = run(capsys, "sk", "--db", db_path, "--depth", "1",
+                         "--level0-eps", "1e-9", "--axis", "0,0,1", "--angle", "0.61")
+    assert code == 1
+    assert out == ""
+    assert "no base approximation" in err
 
 
 # -- bench --------------------------------------------------------------------------
@@ -249,6 +259,13 @@ def test_verify_negative_tmax_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be at least 0" in err
+
+
+@pytest.mark.parametrize("suite", ["counts", "theorem1"])
+def test_verify_past_desk_scale_is_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--t-max", "11")
+    assert code == 2
+    assert out == "" and "desk scale only" in err
 
 
 def test_verify_catalog_suite_accepts_a_good_file(capsys, db_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qcanon.catalog import canonical_count
+from qcanon.clifford import CLIFFORD, G_H
 from qcanon.oracle import (AuditReport, bfs_layers, brute_min_tcount,
                            coset_counts_by_t, parity_audit, random_normalized_bits,
                            theorem1_audit)
 from qcanon.rewrite import blocks_tokens, tokens_to_unitary
-from qcanon.unitary import GATES, from_word
+from qcanon.unitary import GATES, from_word, psu2_equal
 
 
 # -- report type ---------------------------------------------------------------
@@ -107,6 +108,12 @@ def test_theorem1_audit_catches_planted_collision():
     assert not rep.ok
     v = rep.violations[0]
     assert "injected" in str(v)
+    # the witness maps circuit i onto the planted fake
+    (bits_i, fake, g1, g2), = rep.violations
+    u_i = tokens_to_unitary(blocks_tokens(bits_i))
+    planted = CLIFFORD[G_H] * u_i * CLIFFORD[G_H]
+    assert fake == ("injected",) + bits_i
+    assert psu2_equal(CLIFFORD[g1] * u_i * CLIFFORD[g2], planted)
 
 
 # -- parity audit --------------------------------------------------------------------
